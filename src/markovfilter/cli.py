@@ -37,7 +37,6 @@ from .filtering import (
     classify_transitions,
     identifiability_verdict,
     reduction_fraction,
-    validate_consistency,
 )
 from .inference import chi_square_test, confidence_interval, z_test
 from .sem import run_sem
@@ -188,8 +187,10 @@ def cmd_estimate(args) -> int:
         raise FileFormatError(args.filter, f"filter is {F.k}x{F.k} but --states={args.states}")
     y = io.read_filtered_chain(args.filtered, F.k, config.blank_token)
     support = io.read_support_csv(args.support) if args.support else None
-    try:
-        validate_consistency(y, F, support)
+    try:  # run_em validates the pattern before it iterates
+        em_result = run_em(
+            y, F, tol=config.tol, max_iter=config.max_iter, support=support
+        )
     except ConsistencyError as err:
         print(
             f"error: {err}\nhint: check that the blank token and the filter match the "
@@ -198,9 +199,6 @@ def cmd_estimate(args) -> int:
         )
         return EXIT_CONSISTENCY
 
-    em_result = run_em(
-        y, F, tol=config.tol, max_iter=config.max_iter, support=support
-    )
     sem_result = None
     if not args.skip_sem:
         try:

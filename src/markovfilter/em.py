@@ -4,8 +4,14 @@ The observed data decompose into adjacent observed pairs (known transitions)
 and gaps (maximal blank runs). Conditional on its endpoints, a gap's hidden
 path moves only along unrecorded transitions, so its law is governed by
 powers of the matrix P0 that keeps p_ij where f_ij = 0 and zeroes the rest.
-The E-step adds, for every gap edge, the conditional probability of each
-(alpha, beta) move; the M-step row-normalizes the expected counts.
+
+One E-step treats all gaps (a, nu, b) together. The powers P0^0..P0^nu_max
+give each gap's mass; its weight (multiplicity / mass) goes into a matrix
+B_nu at (a, b), or along row a for a trailing gap; the backward recursion
+Z_t = B_(t+1) + Z_(t+1) P0^T over gap lengths then gives the expected counts
+pair_counts + P0 o sum_t (P0^t)^T Z_t, as in Baum-Welch forward-backward, at
+O(nu_max k^3) cost whatever the number of gap types. The M-step
+row-normalizes the expected counts.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class EMResult:
 
 
 def split_p(P, F: FilterMatrix) -> SplitMatrices:
-    probs = P.probs if isinstance(P, TransitionMatrix) else np.asarray(P, dtype=float)
+    probs = _as_probs(P, F.k)
     if probs.shape != F.bits.shape:
         raise ValueError("matrix and filter dimensions disagree")
     p1 = np.where(F.bits, probs, 0.0)
@@ -95,38 +101,6 @@ def segment_chain(y: FilteredChain):
     return pairs, gaps
 
 
-def _power_table(p0: np.ndarray, nu_max: int):
-    powers = [np.eye(p0.shape[0])]
-    for _ in range(nu_max):
-        powers.append(powers[-1] @ p0)
-    return powers
-
-
-def _gap_weights(gap: GapSegment, p0: np.ndarray, powers) -> np.ndarray:
-    """Expected transition counts contributed by one gap, total mass nu."""
-    nu = gap.length
-    a = gap.prev_state - 1
-    if gap.next_state is None:
-        denom = powers[nu][a].sum()
-        if denom <= 0.0:
-            raise ZeroDenominatorError(
-                f"no unrecorded continuation of length {nu} from state {gap.prev_state}"
-            )
-        lead = np.stack([powers[m][a] for m in range(nu)])
-        trail = np.stack([powers[nu - 1 - m].sum(axis=1) for m in range(nu)])
-    else:
-        b = gap.next_state - 1
-        denom = powers[nu][a, b]
-        if denom <= 0.0:
-            raise ZeroDenominatorError(
-                f"no unrecorded path of length {nu} from state {gap.prev_state} "
-                f"to state {gap.next_state}"
-            )
-        lead = np.stack([powers[m][a] for m in range(nu)])
-        trail = np.stack([powers[nu - 1 - m][:, b] for m in range(nu)])
-    return (lead.T @ trail) * p0 / denom
-
-
 def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
     """Conditional expected counts of each transition inside one gap.
 
@@ -134,97 +108,128 @@ def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
     contributes P0^m[a, alpha] * P0[alpha, beta] * P0^(nu-1-m)[beta, b]
     over P0^nu[a, b]; trailing gaps replace the b-column with row sums.
     """
-    powers = _power_table(S.p0, gap.length)
-    return CountMatrix(_gap_weights(gap, S.p0, powers))
+    seg = _Segments(S.k, {(gap.prev_state, gap.length, gap.next_state): 1})
+    return CountMatrix(seg.gap_counts(S.p0)[0])
 
 
 class _Segments:
-    """Grouped, reusable decomposition of one filtered chain.
-
-    Grouping identical (a, nu, b) gaps lets every EM iteration pay per gap
-    *type* rather than per gap occurrence.
+    """One filtered chain, segmented once: the tally of observed pairs and
+    the distinct gap types in order of first occurrence, as arrays of
+    0-based start ``a``, length ``nu`` and end ``b`` (unused where ``trail``
+    marks a gap that ends the chain) with multiplicities ``mult``.
     """
 
-    __slots__ = ("k", "n", "pair_counts", "pair_mask", "gap_groups", "nu_max")
+    __slots__ = ("k", "pair_counts", "pair_mask", "a", "nu", "b", "trail", "mult", "nu_max")
 
-    def __init__(self, y: FilteredChain):
+    def __init__(self, k: int, gap_groups: dict, pair_counts=None):
+        types = list(gap_groups)
+        self.k = k
+        self.pair_counts = np.zeros((k, k)) if pair_counts is None else pair_counts
+        self.pair_mask = self.pair_counts > 0
+        self.a = np.array([a - 1 for a, _nu, _b in types], dtype=np.intp)
+        self.nu = np.array([nu for _a, nu, _b in types], dtype=np.intp)
+        self.b = np.array([0 if b is None else b - 1 for _a, _nu, b in types], dtype=np.intp)
+        self.trail = np.array([b is None for _a, _nu, b in types], dtype=bool)
+        self.mult = np.array(list(gap_groups.values()), dtype=float)
+        self.nu_max = int(self.nu.max(initial=0))
+
+    @classmethod
+    def from_chain(cls, y: FilteredChain) -> "_Segments":
         k = y.space.k
         pair_counts = np.zeros((k, k))
         gap_groups: dict = {}
         for kind, _pos, seg in _iter_segments(y):
             if kind == "pair":
-                a, b = seg
-                pair_counts[a - 1, b - 1] += 1.0
+                pair_counts[seg[0] - 1, seg[1] - 1] += 1.0
             else:
                 gap_groups[seg] = gap_groups.get(seg, 0) + 1
-        self.k = k
-        self.n = y.n_transitions
-        self.pair_counts = pair_counts
-        self.pair_mask = pair_counts > 0
-        self.gap_groups = gap_groups
-        self.nu_max = max((nu for (_a, nu, _b) in gap_groups), default=0)
+        return cls(k, gap_groups, pair_counts)
+
+    def _masses(self, p0: np.ndarray):
+        """(powers P0^0 .. P0^nu_max stacked, each gap type's mass: P0^nu[a, b],
+        or the row sum of P0^nu[a] for a trailing gap)."""
+        powers = np.empty((self.nu_max + 1, self.k, self.k))
+        powers[0] = np.eye(self.k)
+        for t in range(self.nu_max):
+            np.matmul(powers[t], p0, out=powers[t + 1])
+        rows = powers[self.nu, self.a]
+        return powers, np.where(self.trail, rows.sum(axis=1), powers[self.nu, self.a, self.b])
+
+    def gap_counts(self, p0: np.ndarray):
+        """(expected counts inside all gaps, gap masses) at the unrecorded
+        part ``p0``; raises when a gap has no unrecorded path."""
+        powers, masses = self._masses(p0)
+        bad = np.flatnonzero(masses <= 0.0)
+        if bad.size:
+            i = bad[0]
+            what, end = ("continuation", "") if self.trail[i] else ("path", f" to state {self.b[i] + 1}")
+            raise ZeroDenominatorError(
+                f"no unrecorded {what} of length {self.nu[i]} from state {self.a[i] + 1}{end}"
+            )
+        k, top = self.k, self.nu_max
+        w = self.mult / masses
+        inner = ~self.trail
+        weights = np.zeros((top + 1, k, k))
+        np.add.at(weights, (self.nu[inner], self.a[inner], self.b[inner]), w[inner])
+        np.add.at(weights, (self.nu[self.trail], self.a[self.trail]), w[self.trail, None])
+        z = np.zeros((top + 1, k, k))
+        for t in range(top - 1, -1, -1):
+            np.matmul(z[t + 1], p0.T, out=z[t])
+            z[t] += weights[t + 1]
+        return p0 * np.tensordot(powers[:top], z[:top], axes=([0, 1], [0, 1])), masses
 
     def expected_counts(self, probs: np.ndarray, bits: np.ndarray):
         """(expected counts, observed log-likelihood) at the given parameters."""
-        p0 = np.where(bits, 0.0, probs)
-        powers = _power_table(p0, self.nu_max)
-        counts = self.pair_counts.copy()
-        if self.pair_mask.any():
-            pair_probs = probs[self.pair_mask]
-            if np.any(pair_probs <= 0.0):
-                loglik = -np.inf
-            else:
-                loglik = float(
-                    (self.pair_counts[self.pair_mask] * np.log(pair_probs)).sum()
-                )
-        else:
-            loglik = 0.0
-        for (a, nu, b), mult in self.gap_groups.items():
-            gap = GapSegment(a, nu, b)
-            weights = _gap_weights(gap, p0, powers)
-            counts += mult * weights
-            ai = a - 1
-            denom = powers[nu][ai].sum() if b is None else powers[nu][ai, b - 1]
-            loglik += mult * float(np.log(denom))
-        return counts, loglik
+        counts, masses = self.gap_counts(np.where(bits, 0.0, probs))
+        return self.pair_counts + counts, self.loglik(probs, bits, masses)
 
-    def loglik(self, probs: np.ndarray, bits: np.ndarray) -> float:
-        """Observed log-likelihood only; -inf instead of an error when a
-        factor vanishes."""
-        p0 = np.where(bits, 0.0, probs)
-        powers = _power_table(p0, self.nu_max)
-        with np.errstate(divide="ignore"):
-            total = 0.0
-            if self.pair_mask.any():
-                pair_probs = probs[self.pair_mask]
-                if np.any(pair_probs <= 0.0):
-                    return -np.inf
-                total += float(
-                    (self.pair_counts[self.pair_mask] * np.log(pair_probs)).sum()
-                )
-            for (a, nu, b), mult in self.gap_groups.items():
-                ai = a - 1
-                denom = powers[nu][ai].sum() if b is None else powers[nu][ai, b - 1]
-                if denom <= 0.0:
-                    return -np.inf
-                total += mult * float(np.log(denom))
-        return total
+    def loglik(self, probs: np.ndarray, bits: np.ndarray, masses=None) -> float:
+        """Observed log-likelihood only, from the gap ``masses`` when given;
+        -inf instead of an error when a factor vanishes."""
+        if masses is None:
+            masses = self._masses(np.where(bits, 0.0, probs))[1]
+        pair_probs = probs[self.pair_mask]
+        if np.any(pair_probs <= 0.0) or np.any(masses <= 0.0):
+            return -np.inf
+        pairs = (self.pair_counts[self.pair_mask] * np.log(pair_probs)).sum()
+        return float(pairs) + float(self.mult @ np.log(masses))
 
 
 def _as_probs(theta, k: int) -> np.ndarray:
+    """k x k probabilities from a ParamVector, a TransitionMatrix, a k x k
+    array or a free-parameter vector."""
     if isinstance(theta, ParamVector):
         return theta.to_probs()
+    if isinstance(theta, TransitionMatrix):
+        return theta.probs
     theta = np.asarray(theta, dtype=float)
     if theta.shape == (k, k):
         return theta
     return theta_to_probs(theta, k)
 
 
+def _normalize_rows(counts: np.ndarray) -> np.ndarray:
+    """The M-step: row-normalize expected counts; raises when a state
+    gathered no mass."""
+    rowsums = counts.sum(axis=1)
+    empty = np.flatnonzero(rowsums <= 0.0)
+    if empty.size:
+        raise ZeroRowTotalError(int(empty[0]) + 1)
+    return counts / rowsums[:, None]
+
+
+def _em_map(seg: _Segments, probs: np.ndarray, bits: np.ndarray):
+    """One EM iteration from ``probs``: (next probabilities, observed
+    log-likelihood at ``probs``)."""
+    counts, loglik = seg.expected_counts(probs, bits)
+    return _normalize_rows(counts), loglik
+
+
 def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
     """Conditional expected transition counts given the pattern; observed
     pairs contribute one count each, gaps their conditional expectations.
     The total equals the number of transitions n."""
-    seg = _Segments(y)
+    seg = _Segments.from_chain(y)
     counts, _ = seg.expected_counts(_as_probs(theta, y.space.k), F.bits)
     return CountMatrix(counts)
 
@@ -232,11 +237,7 @@ def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
 def m_step(E: CountMatrix) -> ParamVector:
     """Row-normalize expected counts; raises when a state gathered no mass."""
     counts = E.counts if isinstance(E, CountMatrix) else np.asarray(E, dtype=float)
-    rowsums = counts.sum(axis=1)
-    for i, total in enumerate(rowsums):
-        if total <= 0.0:
-            raise ZeroRowTotalError(i + 1)
-    probs = counts / rowsums[:, None]
+    probs = _normalize_rows(counts)
     return ParamVector(probs_to_theta(probs), StateSpace(counts.shape[0]))
 
 
@@ -245,7 +246,7 @@ def observed_loglik(y: FilteredChain, theta, F: FilterMatrix) -> float:
     log p_ab, interior gaps log of the unrecorded-path mass, trailing gaps
     log of the unrecorded continuation mass. Returns -inf when a factor
     vanishes."""
-    seg = _Segments(y)
+    seg = _Segments.from_chain(y)
     return seg.loglik(_as_probs(theta, y.space.k), F.bits)
 
 
@@ -275,7 +276,7 @@ def run_em(
     if F.k != k:
         raise ValueError("filter and pattern dimensions disagree")
     validate_consistency(y, F, support)
-    seg = _Segments(y)
+    seg = _Segments.from_chain(y)
     probs = _uniform_start(k, support) if theta0 is None else _as_probs(theta0, k)
     if support is not None and np.any(probs[~np.asarray(support, dtype=bool)] != 0.0):
         raise ValueError("starting point puts mass on a structural zero")
@@ -285,15 +286,10 @@ def run_em(
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        counts, loglik = seg.expected_counts(probs, F.bits)
+        new_probs, loglik = _em_map(seg, probs, F.bits)
         if not np.isfinite(loglik):
             raise NonFiniteError("observed log-likelihood is not finite")
         trace.append(loglik)
-        rowsums = counts.sum(axis=1)
-        for i, total in enumerate(rowsums):
-            if total <= 0.0:
-                raise ZeroRowTotalError(i + 1)
-        new_probs = counts / rowsums[:, None]
         new_theta = probs_to_theta(new_probs)
         iterations += 1
         delta = float(np.max(np.abs(new_theta - theta)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountMatrix, ParamVector, probs_to_theta, theta_to_probs
-from .em import EMResult, _Segments, _as_probs
+from .em import EMResult, _Segments, _as_probs, _em_map
 from .errors import (
     RowNotConvergedError,
     SingularBlockError,
@@ -136,12 +136,10 @@ def sem_m1(
     if theta_hat.shape != (d,) or theta_t.shape != (d,):
         raise ValueError(f"expected {d} parameters")
 
-    seg = _Segments(y)
-    bits = F.bits
+    seg = _Segments.from_chain(y)
 
     def em_update(theta):
-        counts, _ = seg.expected_counts(theta_to_probs(theta, k), bits)
-        return probs_to_theta(counts / counts.sum(axis=1, keepdims=True))
+        return probs_to_theta(_em_map(seg, theta_to_probs(theta, k), F.bits)[0])
 
     m1 = np.zeros((d, d))
     r_prev = np.zeros((d, d))

@@ -15,6 +15,7 @@ from markovfilter import (
     ZeroDenominatorError,
     ZeroRowTotalError,
     apply_filter,
+    complete_info,
     complete_mle,
     e_step,
     gap_expected_counts,
@@ -30,6 +31,12 @@ from markovfilter import (
     unobserved_step_probs,
 )
 from conftest import random_interior_probs, random_theta
+
+#: A one-zero-row witness filter on five states (every exit of state 1 is
+#: unrecorded), the filter of the sparse benchmark case.
+F_SPARSE5 = FilterMatrix(
+    np.array([[c == "1" for c in row] for row in "00000 11000 01100 00100 00111".split()])
+)
 
 F_LOWER = FilterMatrix(np.array([[1, 0], [1, 1]]))  # one unrecorded edge
 F_DIAG = FilterMatrix(np.array([[1, 0], [0, 1]]))  # off-diagonal unrecorded
@@ -195,6 +202,54 @@ class TestEStep:
         y = apply_filter(chain, bench_filter)
         E = e_step(y, bench_matrix.theta(), bench_filter)
         assert E.total == pytest.approx(y.n_transitions, abs=1e-9)
+
+    def test_long_gaps_match_per_gap_closed_form(self):
+        # beyond the oracles' reach: k = 5 and gaps of 30+ transitions, each
+        # gap summed on its own from the formula of gap_expected_counts
+        rng = np.random.default_rng(5)
+        probs = random_interior_probs(rng, 5)
+        probs[0] = [0.93, 0.02, 0.02, 0.015, 0.015]  # long unrecorded stays in 1
+        P = TransitionMatrix.from_probs(probs)
+        y = apply_filter(simulate_chain(P, 1, 3000, seed=11), F_SPARSE5)
+        pairs, gaps = segment_chain(y)
+        assert max(g.length for g in gaps) >= 30
+        S = split_p(P, F_SPARSE5)
+        powers = [unobserved_step_probs(S, m) for m in range(max(g.length for g in gaps) + 1)]
+        counts = np.zeros((5, 5))
+        loglik = 0.0
+        for a, b in pairs:
+            counts[a - 1, b - 1] += 1.0
+            loglik += np.log(probs[a - 1, b - 1])
+        for g in gaps:
+            a, nu = g.prev_state - 1, g.length
+            ends = [p.sum(axis=1) if g.next_state is None else p[:, g.next_state - 1] for p in powers]
+            mass = ends[nu][a]
+            for m in range(nu):
+                counts += np.outer(powers[m][a], ends[nu - 1 - m]) * S.p0 / mass
+            loglik += np.log(mass)
+        np.testing.assert_allclose(e_step(y, P, F_SPARSE5).counts, counts, rtol=1e-10, atol=1e-12)
+        assert observed_loglik(y, P, F_SPARSE5) == pytest.approx(loglik, rel=1e-12)
+
+
+@pytest.mark.parametrize("form", ["param_vector", "transition_matrix", "matrix", "theta"])
+def test_entry_points_accept_every_parameter_form(form, bench_matrix, bench_filter):
+    ref = bench_matrix.theta()
+    probs = ref.to_probs()
+    theta = {
+        "param_vector": ref,
+        "transition_matrix": TransitionMatrix.from_probs(probs),
+        "matrix": probs,
+        "theta": ref.theta,
+    }[form]
+    y = apply_filter(simulate_chain(bench_matrix, 1, 200, seed=8), bench_filter)
+    E = e_step(y, ref, bench_filter)
+    np.testing.assert_array_equal(e_step(y, theta, bench_filter).counts, E.counts)
+    assert observed_loglik(y, theta, bench_filter) == observed_loglik(y, ref, bench_filter)
+    np.testing.assert_array_equal(complete_info(E, theta), complete_info(E, ref))
+    np.testing.assert_array_equal(
+        run_em(y, bench_filter, theta0=theta, max_iter=3).theta_hat.theta,
+        run_em(y, bench_filter, theta0=ref, max_iter=3).theta_hat.theta,
+    )
 
 
 class TestMStep:
