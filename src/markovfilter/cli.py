@@ -53,12 +53,10 @@ class RunConfig:
     """Knobs shared by the estimation commands."""
 
     k: int
-    order: int = 1
     blank_token: str = "-"
     tol: float = 1e-12
     sem_tol: float = 1e-6
     max_iter: int = 100_000
-    seed: int | None = None
     alpha: float = 0.05
 
     def __post_init__(self):
@@ -66,8 +64,6 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
 
 
 def _fmt(value: float) -> str:
@@ -133,33 +129,45 @@ def cmd_check_filter(args) -> int:
     return EXIT_OK if verdict.verdict is Verdict.SUFFICIENT_IDENTIFIABLE else EXIT_UNIDENTIFIABLE
 
 
-def _estimate_report(config: RunConfig, y, em_result, sem_result, alpha: float) -> dict:
+def _intervals(em_result, sem_result, alpha: float) -> list:
+    """Per free parameter (i, j, estimate, standard error, (lo, hi)); the
+    error and the interval are None where the observed variance is not
+    positive."""
+    theta = em_result.theta_hat.theta
+    k = em_result.theta_hat.k
+    diag = np.diag(sem_result.v_obs)
+    rows = []
+    for idx, var in enumerate(diag):
+        i, j = idx // (k - 1) + 1, idx % (k - 1) + 1
+        if var > 0:
+            ci = confidence_interval(theta[idx], var, alpha)
+            rows.append((i, j, theta[idx], float(np.sqrt(var)), ci))
+        else:
+            rows.append((i, j, theta[idx], None, None))
+    return rows
+
+
+def _estimate_report(config: RunConfig, y, reduction, em_result, sem_result, intervals) -> dict:
     k = config.k
     probs = em_result.probs
     entries: dict = {
         "estimate.k": k,
         "estimate.n": y.n_transitions,
-        "estimate.reduction": reduction_fraction(y),
+        "estimate.reduction": reduction,
         "estimate.iterations": em_result.iterations,
         "estimate.converged": em_result.converged,
         "estimate.loglik": em_result.final_observed_loglik,
-        "estimate.alpha": alpha,
+        "estimate.alpha": config.alpha,
     }
     for i in range(k):
         for j in range(k):
             entries[f"estimate.theta.{i + 1}.{j + 1}"] = float(probs[i, j])
     if sem_result is not None:
         d = k * (k - 1)
-        diag = np.diag(sem_result.v_obs)
-        theta = em_result.theta_hat.theta
-        for idx in range(d):
-            i, j = idx // (k - 1) + 1, idx % (k - 1) + 1
-            se = float(np.sqrt(diag[idx])) if diag[idx] > 0 else float("nan")
-            entries[f"estimate.se.{i}.{j}"] = se
-            if diag[idx] > 0:
-                lo, hi = confidence_interval(theta[idx], diag[idx], alpha)
-                entries[f"estimate.ci.lo.{i}.{j}"] = lo
-                entries[f"estimate.ci.hi.{i}.{j}"] = hi
+        for i, j, _est, se, ci in intervals:
+            entries[f"estimate.se.{i}.{j}"] = float("nan") if se is None else se
+            if ci is not None:
+                entries[f"estimate.ci.lo.{i}.{j}"], entries[f"estimate.ci.hi.{i}.{j}"] = ci
         for name, mat in (
             ("v_com", sem_result.v_com),
             ("m1", sem_result.m1),
@@ -214,28 +222,25 @@ def cmd_estimate(args) -> int:
             )
             return EXIT_NUMERICAL
 
+    reduction = reduction_fraction(y)
+    intervals = None if sem_result is None else _intervals(em_result, sem_result, config.alpha)
     print(f"EM converged: {em_result.converged} after {em_result.iterations} iterations")
     print(f"observed log-likelihood = {_fmt(em_result.final_observed_loglik)}")
-    print(f"reduction fraction = {_fmt(reduction_fraction(y))}")
+    print(f"reduction fraction = {_fmt(reduction)}")
     _print_matrix(em_result.probs, "estimated transition matrix:")
     if sem_result is not None:
-        k = config.k
-        diag = np.diag(sem_result.v_obs)
-        theta = em_result.theta_hat.theta
         print("parameter  estimate        std.err         ci.lo           ci.hi")
-        for idx in range(k * (k - 1)):
-            i, j = idx // (k - 1) + 1, idx % (k - 1) + 1
-            if diag[idx] > 0:
-                se = np.sqrt(diag[idx])
-                lo, hi = confidence_interval(theta[idx], diag[idx], config.alpha)
-                lo_c, hi_c = max(lo, 0.0), min(hi, 1.0)
-                clamp = " *" if (lo_c, hi_c) != (lo, hi) else ""
-                print(
-                    f"p_{i}{j}       {_fmt(theta[idx]):<15s} {_fmt(se):<15s} "
-                    f"{_fmt(lo_c):<15s} {_fmt(hi_c)}{clamp}"
-                )
-            else:
-                print(f"p_{i}{j}       {_fmt(theta[idx]):<15s} (fixed)")
+        for i, j, est, se, ci in intervals:
+            if ci is None:
+                print(f"p_{i}{j}       {_fmt(est):<15s} (fixed)")
+                continue
+            lo, hi = ci
+            lo_c, hi_c = max(lo, 0.0), min(hi, 1.0)
+            clamp = " *" if (lo_c, hi_c) != (lo, hi) else ""
+            print(
+                f"p_{i}{j}       {_fmt(est):<15s} {_fmt(se):<15s} "
+                f"{_fmt(lo_c):<15s} {_fmt(hi_c)}{clamp}"
+            )
         _print_matrix(sem_result.v_com, "complete-data covariance:")
         _print_matrix(sem_result.m1, "EM-map Jacobian:")
         _print_matrix(sem_result.v_obs, "observed covariance:")
@@ -247,7 +252,7 @@ def cmd_estimate(args) -> int:
                 "tighten --tol/--sem-tol",
                 file=sys.stderr,
             )
-    entries = _estimate_report(config, y, em_result, sem_result, config.alpha)
+    entries = _estimate_report(config, y, reduction, em_result, sem_result, intervals)
     if args.out:
         io.write_kv_report(args.out, entries)
         print(f"wrote report to {args.out}")

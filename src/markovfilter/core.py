@@ -39,33 +39,93 @@ class StateSpace:
         return range(1, self.k + 1)
 
 
-@dataclass(frozen=True)
-class CompleteChain:
-    """A fully observed realization: n+1 states, n transitions."""
+def _labels(values) -> np.ndarray:
+    """New integer array of ``values``; input that is not already integer
+    goes through ``int()`` one item at a time."""
+    arr = np.array(values)
+    if arr.dtype.kind not in "iu":
+        ints = [int(v) for v in values]
+        try:
+            arr = np.array(ints, dtype=np.int64)
+        except OverflowError:  # far out of range: keep the exact values to report
+            arr = np.array(ints, dtype=object)
+    return arr
 
-    states: tuple
-    space: StateSpace
 
-    def __post_init__(self):
-        states = tuple(int(s) for s in self.states)
-        object.__setattr__(self, "states", states)
-        if len(states) < 2:
-            raise ChainTooShortError("a chain needs at least two states")
-        k = self.space.k
-        for pos, s in enumerate(states):
-            if not 1 <= s <= k:
-                raise ValueError(f"state {s} at position {pos} outside 1..{k}")
+def _out_of_range(labels: np.ndarray, bad: np.ndarray, k: int) -> None:
+    """Raise for the first position flagged in ``bad``."""
+    where = np.flatnonzero(bad)
+    if where.size:
+        pos = int(where[0])
+        raise ValueError(f"state {labels[pos]} at position {pos} outside 1..{k}")
+
+
+class _ArrayChain:
+    """Body shared by the chain types: one read-only integer array and the
+    state space. Immutable, compared and hashed by value."""
+
+    __slots__ = ("_array", "space")
+
+    @classmethod
+    def _of(cls, array: np.ndarray, space: StateSpace):
+        """Wrap a new array already known to be valid, without checks."""
+        chain = cls.__new__(cls)
+        chain._set(array, space)
+        return chain
+
+    def _set(self, array: np.ndarray, space: StateSpace) -> None:
+        """Take ownership of ``array`` (a new array) and freeze it."""
+        array = np.asarray(array, dtype=np.intp)
+        array.setflags(write=False)
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "space", space)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self._array)
 
     @property
     def n_transitions(self) -> int:
-        return len(self.states) - 1
+        return len(self._array) - 1
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other.space == self.space and np.array_equal(other._array, self._array)
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.space, self._array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._array!r}, {self.space!r})"
+
+
+class CompleteChain(_ArrayChain):
+    """A fully observed realization: n+1 states, n transitions.
+
+    The states are held as one read-only array of 0-based indices
+    (``as_indices``); ``states``, the tuple of 1-based labels, is built on
+    demand.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, states, space: StateSpace):
+        labels = _labels(states)
+        if len(labels) < 2:
+            raise ChainTooShortError("a chain needs at least two states")
+        _out_of_range(labels, (labels < 1) | (labels > space.k), space.k)
+        self._set(labels - 1, space)
+
+    @property
+    def states(self) -> tuple:
+        return tuple((self._array + 1).tolist())
 
     def as_indices(self) -> np.ndarray:
-        """0-based state indices, shape (n+1,)."""
-        return np.asarray(self.states, dtype=np.intp) - 1
+        """0-based state indices, shape (n+1,), read-only."""
+        return self._array
 
 
 @dataclass(frozen=True)
@@ -206,8 +266,18 @@ class CountMatrix:
         return float(self.counts.sum())
 
 
+#: Draws per block of the simulation walk; bounds the size of its lookup table.
+_SIM_BLOCK = 1 << 16
+
+
 def simulate_chain(P: TransitionMatrix, initial: int, n: int, seed: int) -> CompleteChain:
-    """Draw n transitions starting from ``initial``; deterministic per seed."""
+    """Draw n transitions starting from ``initial``; deterministic per seed.
+
+    Step t moves from state i to the first state whose cumulative row
+    probability exceeds draw t (the last state if none does). The successor
+    of every state is looked up for a block of draws at once; the walk then
+    only follows that table.
+    """
     k = P.k
     if not 1 <= initial <= k:
         raise ValueError(f"initial state {initial} outside 1..{k}")
@@ -217,12 +287,20 @@ def simulate_chain(P: TransitionMatrix, initial: int, n: int, seed: int) -> Comp
     cum = np.cumsum(P.probs, axis=1)
     draws = rng.random(n)
     states = np.empty(n + 1, dtype=np.intp)
-    states[0] = initial - 1
-    cur = initial - 1
-    for t in range(n):
-        cur = min(int(np.searchsorted(cum[cur], draws[t], side="right")), k - 1)
-        states[t + 1] = cur
-    return CompleteChain(tuple(int(s) + 1 for s in states), StateSpace(k))
+    cur = states[0] = initial - 1
+    for lo in range(0, n, _SIM_BLOCK):
+        block = draws[lo : lo + _SIM_BLOCK]
+        # table[t * k + i]: the state reached from i with draw lo + t
+        table = np.empty((block.size, k), dtype=np.intp)
+        for i in range(k):
+            table[:, i] = np.searchsorted(cum[i], block, side="right")
+        table = np.minimum(table, k - 1, out=table).ravel().tolist()
+        path = []
+        for base in range(0, len(table), k):
+            cur = table[base + cur]
+            path.append(cur)
+        states[lo + 1 : lo + 1 + len(path)] = path
+    return CompleteChain._of(states, StateSpace(k))
 
 
 def transition_counts(x: CompleteChain) -> CountMatrix:
@@ -270,7 +348,8 @@ def decode_tuple_state(label: int, k: int, s: int) -> tuple:
 
 def embed_higher_order(x: CompleteChain, s: int) -> CompleteChain:
     """Re-express an order-s chain as a simple chain over k**s tuple states
-    Y_t = (X_t, ..., X_{t+s-1}); output length is len(x) - s + 1."""
+    Y_t = (X_t, ..., X_{t+s-1}), labelled as by ``encode_tuple_state``;
+    output length is len(x) - s + 1."""
     if s < 2:
         raise ValueError("embedding order must be at least 2")
     if len(x) < s + 1:
@@ -278,10 +357,12 @@ def embed_higher_order(x: CompleteChain, s: int) -> CompleteChain:
             f"chain of length {len(x)} too short for order {s} (need {s + 1})"
         )
     k = x.space.k
-    labels = tuple(
-        encode_tuple_state(x.states[t : t + s], k) for t in range(len(x) - s + 1)
-    )
-    return CompleteChain(labels, StateSpace(k**s))
+    idx = x.as_indices()
+    m = len(x) - s + 1
+    code = np.zeros(m, dtype=np.int64)
+    for j in range(s):  # base-k digits, oldest coordinate most significant
+        code = code * k + idx[j : j + m]
+    return CompleteChain._of(code, StateSpace(k**s))
 
 
 def embedded_support(k: int, s: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 """EM estimation of transition probabilities from a filtered chain.
 
 The observed data decompose into adjacent observed pairs (known transitions)
-and gaps (maximal blank runs). Conditional on its endpoints, a gap's hidden
-path moves only along unrecorded transitions, so its law is governed by
-powers of the matrix P0 that keeps p_ij where f_ij = 0 and zeroes the rest.
+and gaps (maximal blank runs); ``FilteredChain.segments`` does that split
+once per chain, and every function here works on its arrays. Conditional on
+its endpoints, a gap's hidden path moves only along unrecorded transitions,
+so its law is governed by powers of the matrix P0 that keeps p_ij where
+f_ij = 0 and zeroes the rest.
 
 One E-step treats all gaps (a, nu, b) together. The powers P0^0..P0^nu_max
 give each gap's mass; its weight (multiplicity / mass) goes into a matrix
@@ -29,7 +31,7 @@ from .core import (
     theta_to_probs,
 )
 from .errors import NonFiniteError, ZeroDenominatorError, ZeroRowTotalError
-from .filtering import FilteredChain, FilterMatrix, _iter_segments, validate_consistency
+from .filtering import ChainSegments, FilteredChain, FilterMatrix, validate_consistency
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,18 @@ def unobserved_step_probs(S: SplitMatrices, nu: int) -> np.ndarray:
 
 def segment_chain(y: FilteredChain):
     """Split the pattern's transitions into adjacent observed pairs and
-    gaps; together they cover all n transitions exactly once."""
-    pairs = []
-    gaps = []
-    for kind, _pos, seg in _iter_segments(y):
-        if kind == "pair":
-            pairs.append(seg)
-        else:
-            a, nu, b = seg
-            gaps.append(GapSegment(a, nu, b))
+    gaps, in chain order; together they cover all n transitions exactly
+    once."""
+    observed = y.segments.observed
+    labels = y.codes[observed]
+    step = np.diff(observed)
+    pair = step == 1
+    src, dst = labels[:-1], labels[1:]
+    pairs = list(zip(src[pair].tolist(), dst[pair].tolist()))
+    gap = ~pair
+    gaps = list(map(GapSegment, src[gap].tolist(), step[gap].tolist(), dst[gap].tolist()))
+    if observed[-1] < y.n_transitions:
+        gaps.append(GapSegment(int(labels[-1]), y.n_transitions - int(observed[-1]), None))
     return pairs, gaps
 
 
@@ -108,91 +113,65 @@ def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
     contributes P0^m[a, alpha] * P0[alpha, beta] * P0^(nu-1-m)[beta, b]
     over P0^nu[a, b]; trailing gaps replace the b-column with row sums.
     """
-    seg = _Segments(S.k, {(gap.prev_state, gap.length, gap.next_state): 1})
-    return CountMatrix(seg.gap_counts(S.p0)[0])
+    end = gap.next_state
+    seg = ChainSegments(
+        S.k, [0], np.zeros((S.k, S.k)), [gap.prev_state - 1], [gap.length],
+        [0 if end is None else end - 1], [end is None], [1.0], [0],
+    )
+    return CountMatrix(_gap_counts(seg, S.p0)[0])
 
 
-class _Segments:
-    """One filtered chain, segmented once: the tally of observed pairs and
-    the distinct gap types in order of first occurrence, as arrays of
-    0-based start ``a``, length ``nu`` and end ``b`` (unused where ``trail``
-    marks a gap that ends the chain) with multiplicities ``mult``.
-    """
+def _masses(seg: ChainSegments, p0: np.ndarray):
+    """(powers P0^0 .. P0^nu_max stacked, each gap type's mass: P0^nu[a, b],
+    or the row sum of P0^nu[a] for a trailing gap)."""
+    powers = np.empty((seg.nu_max + 1, seg.k, seg.k))
+    powers[0] = np.eye(seg.k)
+    for t in range(seg.nu_max):
+        np.matmul(powers[t], p0, out=powers[t + 1])
+    rows = powers[seg.nu, seg.a]
+    return powers, np.where(seg.trail, rows.sum(axis=1), powers[seg.nu, seg.a, seg.b])
 
-    __slots__ = ("k", "pair_counts", "pair_mask", "a", "nu", "b", "trail", "mult", "nu_max")
 
-    def __init__(self, k: int, gap_groups: dict, pair_counts=None):
-        types = list(gap_groups)
-        self.k = k
-        self.pair_counts = np.zeros((k, k)) if pair_counts is None else pair_counts
-        self.pair_mask = self.pair_counts > 0
-        self.a = np.array([a - 1 for a, _nu, _b in types], dtype=np.intp)
-        self.nu = np.array([nu for _a, nu, _b in types], dtype=np.intp)
-        self.b = np.array([0 if b is None else b - 1 for _a, _nu, b in types], dtype=np.intp)
-        self.trail = np.array([b is None for _a, _nu, b in types], dtype=bool)
-        self.mult = np.array(list(gap_groups.values()), dtype=float)
-        self.nu_max = int(self.nu.max(initial=0))
+def _gap_counts(seg: ChainSegments, p0: np.ndarray):
+    """(expected counts inside all gaps, gap masses) at the unrecorded part
+    ``p0``; raises when a gap has no unrecorded path."""
+    powers, masses = _masses(seg, p0)
+    bad = np.flatnonzero(masses <= 0.0)
+    if bad.size:
+        i = bad[0]
+        what, end = ("continuation", "") if seg.trail[i] else ("path", f" to state {seg.b[i] + 1}")
+        raise ZeroDenominatorError(
+            f"no unrecorded {what} of length {seg.nu[i]} from state {seg.a[i] + 1}{end}"
+        )
+    k, top, trail = seg.k, seg.nu_max, seg.trail
+    w = seg.mult / masses
+    inner = ~trail
+    weights = np.zeros((top + 1, k, k))
+    np.add.at(weights, (seg.nu[inner], seg.a[inner], seg.b[inner]), w[inner])
+    np.add.at(weights, (seg.nu[trail], seg.a[trail]), w[trail, None])
+    z = np.zeros((top + 1, k, k))
+    for t in range(top - 1, -1, -1):
+        np.matmul(z[t + 1], p0.T, out=z[t])
+        z[t] += weights[t + 1]
+    return p0 * np.tensordot(powers[:top], z[:top], axes=([0, 1], [0, 1])), masses
 
-    @classmethod
-    def from_chain(cls, y: FilteredChain) -> "_Segments":
-        k = y.space.k
-        pair_counts = np.zeros((k, k))
-        gap_groups: dict = {}
-        for kind, _pos, seg in _iter_segments(y):
-            if kind == "pair":
-                pair_counts[seg[0] - 1, seg[1] - 1] += 1.0
-            else:
-                gap_groups[seg] = gap_groups.get(seg, 0) + 1
-        return cls(k, gap_groups, pair_counts)
 
-    def _masses(self, p0: np.ndarray):
-        """(powers P0^0 .. P0^nu_max stacked, each gap type's mass: P0^nu[a, b],
-        or the row sum of P0^nu[a] for a trailing gap)."""
-        powers = np.empty((self.nu_max + 1, self.k, self.k))
-        powers[0] = np.eye(self.k)
-        for t in range(self.nu_max):
-            np.matmul(powers[t], p0, out=powers[t + 1])
-        rows = powers[self.nu, self.a]
-        return powers, np.where(self.trail, rows.sum(axis=1), powers[self.nu, self.a, self.b])
+def _expected_counts(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):
+    """(expected counts, observed log-likelihood) at the given parameters."""
+    counts, masses = _gap_counts(seg, np.where(bits, 0.0, probs))
+    return seg.pair_counts + counts, _loglik(seg, probs, bits, masses)
 
-    def gap_counts(self, p0: np.ndarray):
-        """(expected counts inside all gaps, gap masses) at the unrecorded
-        part ``p0``; raises when a gap has no unrecorded path."""
-        powers, masses = self._masses(p0)
-        bad = np.flatnonzero(masses <= 0.0)
-        if bad.size:
-            i = bad[0]
-            what, end = ("continuation", "") if self.trail[i] else ("path", f" to state {self.b[i] + 1}")
-            raise ZeroDenominatorError(
-                f"no unrecorded {what} of length {self.nu[i]} from state {self.a[i] + 1}{end}"
-            )
-        k, top = self.k, self.nu_max
-        w = self.mult / masses
-        inner = ~self.trail
-        weights = np.zeros((top + 1, k, k))
-        np.add.at(weights, (self.nu[inner], self.a[inner], self.b[inner]), w[inner])
-        np.add.at(weights, (self.nu[self.trail], self.a[self.trail]), w[self.trail, None])
-        z = np.zeros((top + 1, k, k))
-        for t in range(top - 1, -1, -1):
-            np.matmul(z[t + 1], p0.T, out=z[t])
-            z[t] += weights[t + 1]
-        return p0 * np.tensordot(powers[:top], z[:top], axes=([0, 1], [0, 1])), masses
 
-    def expected_counts(self, probs: np.ndarray, bits: np.ndarray):
-        """(expected counts, observed log-likelihood) at the given parameters."""
-        counts, masses = self.gap_counts(np.where(bits, 0.0, probs))
-        return self.pair_counts + counts, self.loglik(probs, bits, masses)
-
-    def loglik(self, probs: np.ndarray, bits: np.ndarray, masses=None) -> float:
-        """Observed log-likelihood only, from the gap ``masses`` when given;
-        -inf instead of an error when a factor vanishes."""
-        if masses is None:
-            masses = self._masses(np.where(bits, 0.0, probs))[1]
-        pair_probs = probs[self.pair_mask]
-        if np.any(pair_probs <= 0.0) or np.any(masses <= 0.0):
-            return -np.inf
-        pairs = (self.pair_counts[self.pair_mask] * np.log(pair_probs)).sum()
-        return float(pairs) + float(self.mult @ np.log(masses))
+def _loglik(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray, masses=None) -> float:
+    """Observed log-likelihood only, from the gap ``masses`` when given;
+    -inf instead of an error when a factor vanishes."""
+    if masses is None:
+        masses = _masses(seg, np.where(bits, 0.0, probs))[1]
+    pair_probs = probs[seg.pair_mask]
+    if np.any(pair_probs <= 0.0) or np.any(masses <= 0.0):
+        return -np.inf
+    pairs = (seg.pair_counts[seg.pair_mask] * np.log(pair_probs)).sum()
+    return float(pairs) + float(seg.mult @ np.log(masses))
 
 
 def _as_probs(theta, k: int) -> np.ndarray:
@@ -208,6 +187,13 @@ def _as_probs(theta, k: int) -> np.ndarray:
     return theta_to_probs(theta, k)
 
 
+def _as_theta(theta) -> np.ndarray:
+    """Free-parameter vector from a ParamVector or any array-like."""
+    if isinstance(theta, ParamVector):
+        theta = theta.theta
+    return np.asarray(theta, dtype=float).reshape(-1)
+
+
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     """The M-step: row-normalize expected counts; raises when a state
     gathered no mass."""
@@ -218,10 +204,10 @@ def _normalize_rows(counts: np.ndarray) -> np.ndarray:
     return counts / rowsums[:, None]
 
 
-def _em_map(seg: _Segments, probs: np.ndarray, bits: np.ndarray):
+def _em_map(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):
     """One EM iteration from ``probs``: (next probabilities, observed
     log-likelihood at ``probs``)."""
-    counts, loglik = seg.expected_counts(probs, bits)
+    counts, loglik = _expected_counts(seg, probs, bits)
     return _normalize_rows(counts), loglik
 
 
@@ -229,8 +215,7 @@ def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
     """Conditional expected transition counts given the pattern; observed
     pairs contribute one count each, gaps their conditional expectations.
     The total equals the number of transitions n."""
-    seg = _Segments.from_chain(y)
-    counts, _ = seg.expected_counts(_as_probs(theta, y.space.k), F.bits)
+    counts, _ = _expected_counts(y.segments, _as_probs(theta, y.space.k), F.bits)
     return CountMatrix(counts)
 
 
@@ -246,8 +231,7 @@ def observed_loglik(y: FilteredChain, theta, F: FilterMatrix) -> float:
     log p_ab, interior gaps log of the unrecorded-path mass, trailing gaps
     log of the unrecorded continuation mass. Returns -inf when a factor
     vanishes."""
-    seg = _Segments.from_chain(y)
-    return seg.loglik(_as_probs(theta, y.space.k), F.bits)
+    return _loglik(y.segments, _as_probs(theta, y.space.k), F.bits)
 
 
 def _uniform_start(k: int, support) -> np.ndarray:
@@ -276,7 +260,7 @@ def run_em(
     if F.k != k:
         raise ValueError("filter and pattern dimensions disagree")
     validate_consistency(y, F, support)
-    seg = _Segments.from_chain(y)
+    seg = y.segments
     probs = _uniform_start(k, support) if theta0 is None else _as_probs(theta0, k)
     if support is not None and np.any(probs[~np.asarray(support, dtype=bool)] != 0.0):
         raise ValueError("starting point puts mass on a structural zero")
@@ -298,7 +282,7 @@ def run_em(
             converged = True
             break
 
-    counts_hat, loglik_hat = seg.expected_counts(probs, F.bits)
+    counts_hat, loglik_hat = _expected_counts(seg, probs, F.bits)
     if not np.isfinite(loglik_hat):
         raise NonFiniteError("observed log-likelihood is not finite")
     trace.append(loglik_hat)

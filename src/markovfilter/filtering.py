@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompleteChain, StateSpace, _readonly
+from .core import CompleteChain, StateSpace, _ArrayChain, _labels, _out_of_range, _readonly
 from .errors import ConsistencyError
 
 #: Placeholder for a hidden state inside a filtered chain.
@@ -53,42 +53,128 @@ class FilterMatrix:
         return cls(np.zeros((k, k), dtype=bool))
 
 
-@dataclass(frozen=True)
-class FilteredChain:
-    """Sequence of observed states and blanks produced by a filter.
+class ChainSegments:
+    """A filtered chain cut into adjacent observed pairs and gaps (maximal
+    blank runs), together covering its n transitions once.
 
-    The first symbol is always observed (the initial state is known).
-    ``symbols`` holds 1-based state labels with ``None`` for blanks.
+    ``observed`` holds the positions of the observed symbols and
+    ``pair_counts`` the k x k tally of adjacent observed pairs. The distinct
+    gap types, a trailing gap included, are arrays in order of first
+    occurrence: 0-based start state ``a``, length ``nu``, 0-based end state
+    ``b`` (0 where ``trail`` marks the gap that ends the chain),
+    multiplicity ``mult`` and ``first``, the position of the observed start
+    of the type's first gap. All arrays are read-only.
     """
 
-    symbols: tuple
-    space: StateSpace
+    __slots__ = ("k", "observed", "pair_counts", "pair_mask", "a", "nu", "b", "trail", "mult", "first", "nu_max")
 
-    def __post_init__(self):
-        symbols = tuple(None if s is None else int(s) for s in self.symbols)
-        object.__setattr__(self, "symbols", symbols)
-        if len(symbols) < 2:
+    def __init__(self, k, observed, pair_counts, a, nu, b, trail, mult, first):
+        def frozen(values, dtype):  # the arrays passed in are new ones
+            arr = np.asarray(values, dtype=dtype)
+            arr.setflags(write=False)
+            return arr
+
+        self.k = k
+        self.observed = frozen(observed, np.intp)
+        self.pair_counts = frozen(pair_counts, float)
+        self.pair_mask = frozen(self.pair_counts > 0, bool)
+        self.a = frozen(a, np.intp)
+        self.nu = frozen(nu, np.intp)
+        self.b = frozen(b, np.intp)
+        self.trail = frozen(trail, bool)
+        self.mult = frozen(mult, float)
+        self.first = frozen(first, np.intp)
+        self.nu_max = int(self.nu.max(initial=0))
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, k: int) -> "ChainSegments":
+        """Segment a chain given as codes (1..k observed, 0 blank, first
+        symbol observed)."""
+        n = len(codes) - 1
+        observed = np.flatnonzero(codes)
+        states = codes[observed] - 1
+        step = np.diff(observed)
+        pair = step == 1
+        src, dst = states[:-1], states[1:]
+        pair_counts = np.bincount(src[pair] * k + dst[pair], minlength=k * k).reshape(k, k)
+        gap = ~pair
+        a, nu, b, first = src[gap], step[gap], dst[gap], observed[:-1][gap]
+        last = observed[-1]
+        if last < n:  # trailing gap, end marked by the code k
+            a, nu = np.append(a, states[-1]), np.append(nu, n - last)
+            b, first = np.append(b, k), np.append(first, last)
+        key = (a * (n + 1) + nu) * (k + 1) + b
+        _, where, mult = np.unique(key, return_index=True, return_counts=True)
+        order = np.argsort(where)
+        types = where[order]
+        b = b[types]
+        trail = b == k
+        return cls(
+            k, observed, pair_counts, a[types], nu[types], np.where(trail, 0, b), trail,
+            mult[order], first[types],
+        )
+
+
+class FilteredChain(_ArrayChain):
+    """Sequence of observed states and blanks produced by a filter.
+
+    The chain is held as one read-only integer array ``codes``: 1..k for an
+    observed state, 0 for a blank. The first symbol is always observed (the
+    initial state is known). ``symbols``, the tuple of 1-based labels with
+    ``None`` for blanks, is built on demand. ``segments`` cuts the chain into
+    observed pairs and gaps on first use and keeps the result, so validation,
+    EM and SEM share one segmentation of the chain.
+    """
+
+    __slots__ = ("_segments",)
+
+    def __init__(self, symbols, space: StateSpace):
+        symbols = tuple(symbols)
+        blank = np.array([s is None for s in symbols], dtype=bool)
+        self._check(_labels([0 if s is None else s for s in symbols]), blank, space)
+
+    @classmethod
+    def from_codes(cls, codes, space: StateSpace) -> "FilteredChain":
+        """Chain from codes: 1..k for observed states, 0 for blanks."""
+        codes = _labels(codes)
+        y = cls.__new__(cls)
+        y._check(codes, codes == 0, space)
+        return y
+
+    def _check(self, codes: np.ndarray, blank: np.ndarray, space: StateSpace) -> None:
+        if len(codes) < 2:
             raise ValueError("a filtered chain needs at least two symbols")
-        if symbols[0] is None:
+        if blank[0]:
             raise ValueError("the initial state must be observed")
-        k = self.space.k
-        for pos, s in enumerate(symbols):
-            if s is not None and not 1 <= s <= k:
-                raise ValueError(f"state {s} at position {pos} outside 1..{k}")
+        _out_of_range(codes, ~blank & ((codes < 1) | (codes > space.k)), space.k)
+        self._set(codes, space)
 
-    def __len__(self) -> int:
-        return len(self.symbols)
+    def _set(self, codes: np.ndarray, space: StateSpace) -> None:
+        super()._set(codes, space)
+        object.__setattr__(self, "_segments", None)
 
     @property
-    def n_transitions(self) -> int:
-        return len(self.symbols) - 1
+    def codes(self) -> np.ndarray:
+        return self._array
+
+    @property
+    def symbols(self) -> tuple:
+        return tuple(c or BLANK for c in self._array.tolist())
+
+    @property
+    def segments(self) -> ChainSegments:
+        """The chain's segmentation, computed on first use."""
+        if self._segments is None:
+            object.__setattr__(self, "_segments", ChainSegments.from_codes(self._array, self.space.k))
+        return self._segments
 
     @property
     def blank_count(self) -> int:
-        return sum(1 for s in self.symbols if s is None)
+        return len(self._array) - int(np.count_nonzero(self._array))
 
     def tokens(self, blank_token: str = "-") -> list:
-        return [blank_token if s is None else str(s) for s in self.symbols]
+        names = np.array([blank_token] + [str(s) for s in self.space.labels], dtype=object)
+        return names[self._array].tolist()
 
     def to_text(self, blank_token: str = "-", sep: str = " ") -> str:
         return sep.join(self.tokens(blank_token))
@@ -133,23 +219,20 @@ def apply_filter(x: CompleteChain, F: FilterMatrix) -> FilteredChain:
         raise ValueError(f"filter is {F.k}x{F.k} but the chain has k={x.space.k}")
     idx = x.as_indices()
     recorded = F.bits[idx[:-1], idx[1:]]
-    n = len(idx) - 1
-    symbols = []
-    for p, state in enumerate(x.states):
-        observed = p == 0 or (p > 0 and recorded[p - 1]) or (p < n and recorded[p])
-        symbols.append(state if observed else None)
-    return FilteredChain(tuple(symbols), x.space)
+    observed = np.append(True, recorded)  # recorded into p (p = 0 always)
+    observed[:-1] |= recorded  # or recorded out of p
+    return FilteredChain._of(np.where(observed, idx + 1, 0), x.space)
 
 
 def classify_transitions(x: CompleteChain, F: FilterMatrix) -> dict:
     """Classify every transition occurring in x as directly recorded
     (f_ij = 1), indirectly recorded (f_ij = 0 but both endpoints of some
     occurrence survive filtering), or unobserved."""
-    y = apply_filter(x, F)
-    observed = [s is not None for s in y.symbols]
+    observed = (apply_filter(x, F).codes != 0).tolist()
+    states = x.states
     out: dict = {}
     for t in range(x.n_transitions):
-        i, j = x.states[t], x.states[t + 1]
+        i, j = states[t], states[t + 1]
         if F.bits[i - 1, j - 1]:
             out[(i, j)] = TransitionVisibility.DIRECT
         elif observed[t] and observed[t + 1]:
@@ -365,48 +448,38 @@ def _coverage_failure(y: FilteredChain, F: FilterMatrix):
     neighbour, unless it is position 0 or sits next to a blank (the hidden
     neighbour, not the filter, accounts for it then).
     """
-    sym = y.symbols
-    bits = F.bits
-    last = len(sym) - 1
-    for p, s in enumerate(sym):
-        if s is None or p == 0:
-            continue
-        left = sym[p - 1]
-        right = sym[p + 1] if p < last else -1  # -1: no successor exists
-        if left is None or right is None:
-            continue
-        if bits[left - 1, s - 1]:
-            continue
-        if right != -1 and bits[s - 1, right - 1]:
-            continue
-        return p
-    return None
+    codes = y.codes
+    obs = codes != 0
+    idx = codes - 1  # -1 at blanks; masked out below
+    rec = F.bits[idx[:-1], idx[1:]] & obs[:-1] & obs[1:]  # per transition
+    # for positions p = 1..n: the right neighbour is observed, or p = n has none
+    right_obs = np.append(obs[2:], True)
+    rec_out = np.append(rec[1:], False)
+    bad = np.flatnonzero(obs[1:] & obs[:-1] & right_obs & ~rec & ~rec_out)
+    return int(bad[0]) + 1 if bad.size else None
 
 
-def _iter_segments(y: FilteredChain):
-    """Yield ("pair", p, (a, b)) for adjacent observed pairs and
-    ("gap", p, (a, nu, b_or_None)) for maximal blank runs, where p is the
-    0-based position of the segment's first transition."""
-    sym = y.symbols
-    obs_positions = [p for p, s in enumerate(sym) if s is not None]
-    for prev, nxt in zip(obs_positions, obs_positions[1:]):
-        if nxt == prev + 1:
-            yield ("pair", prev, (sym[prev], sym[nxt]))
-        else:
-            yield ("gap", prev, (sym[prev], nxt - prev, sym[nxt]))
-    tail = obs_positions[-1]
-    if tail < len(sym) - 1:
-        yield ("gap", tail, (sym[tail], len(sym) - 1 - tail, None))
+def _reach_table(edges: np.ndarray, nu_max: int) -> np.ndarray:
+    """Boolean (nu_max+1, k, k) table: entry (nu, i, j) is set when j can be
+    reached from i in exactly nu steps along ``edges``."""
+    k = edges.shape[0]
+    step = edges.astype(np.int64)
+    reach = np.empty((nu_max + 1, k, k), dtype=bool)
+    reach[0] = np.eye(k, dtype=bool)
+    for t in range(nu_max):
+        reach[t + 1] = (reach[t].astype(np.int64) @ step) > 0
+    return reach
 
 
 def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> None:
     """Raise ConsistencyError unless some complete chain produces ``y``.
 
-    Checks, in position order: every observed position away from blanks has a
-    recorded adjacent transition (or is position 0); observed adjacent pairs
-    lie on the support; every gap is spanned by an unrecorded path through the
+    Checks: every observed position away from blanks has a recorded
+    adjacent transition (or is position 0); observed adjacent pairs lie on
+    the support; every gap is spanned by an unrecorded path through the
     support graph; trailing blanks admit at least one all-unrecorded
-    continuation of the right length.
+    continuation of the right length. The failure reported is the one at
+    the smallest position (a gap's position is its first blank).
     """
     if F.k != y.space.k:
         raise ValueError(f"filter is {F.k}x{F.k} but the pattern has k={y.space.k}")
@@ -415,36 +488,31 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
         support_arr = np.ones((k, k), dtype=bool)
     else:
         support_arr = np.asarray(support, dtype=bool)
+    seg = y.segments
 
-    failures = []
+    failures = []  # (position, rule); on a tie the earlier entry wins
     cov = _coverage_failure(y, F)
     if cov is not None:
         failures.append((cov, "observed position has no recorded adjacent transition"))
 
-    unrecorded = ~F.bits & support_arr
-    segments = list(_iter_segments(y))
-    max_nu = max((seg[1] for kind, _, seg in segments if kind == "gap"), default=0)
-    # boolean reachability table over unrecorded allowed edges
-    reach = [np.eye(k, dtype=bool)]
-    for _ in range(max_nu):
-        reach.append((reach[-1].astype(np.int64) @ unrecorded.astype(np.int64)) > 0)
+    off = seg.pair_mask & ~support_arr
+    if off.any():
+        codes = y.codes
+        pairs_off = off[codes[:-1] - 1, codes[1:] - 1] & (codes[:-1] != 0) & (codes[1:] != 0)
+        failures.append((int(np.argmax(pairs_off)), "observed transition off the support"))
 
-    for kind, pos, seg in segments:
-        if kind == "pair":
-            a, b = seg
-            if not support_arr[a - 1, b - 1]:
-                failures.append((pos, "observed transition off the support"))
-        else:
-            a, nu, b = seg
-            # pos is the observed predecessor; the first blank sits at pos + 1
-            if b is None:
-                if not reach[nu][a - 1].any():
-                    failures.append(
-                        (pos + 1, "trailing blanks admit no unrecorded continuation")
-                    )
-            elif not reach[nu][a - 1, b - 1]:
-                failures.append((pos + 1, "no unrecorded path of the gap's length"))
+    if seg.nu.size:
+        reach = _reach_table(~F.bits & support_arr, seg.nu_max)
+        ok = np.where(seg.trail, reach[seg.nu, seg.a].any(axis=1), reach[seg.nu, seg.a, seg.b])
+        bad = np.flatnonzero(~ok)
+        if bad.size:  # gap types are in order of first occurrence
+            i = bad[0]
+            rule = (
+                "trailing blanks admit no unrecorded continuation"
+                if seg.trail[i]
+                else "no unrecorded path of the gap's length"
+            )
+            failures.append((int(seg.first[i]) + 1, rule))
 
     if failures:
-        failures.sort(key=lambda f: f[0])
-        raise ConsistencyError(*failures[0])
+        raise ConsistencyError(*min(failures, key=lambda f: f[0]))

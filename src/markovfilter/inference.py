@@ -9,7 +9,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .core import ParamVector
+from .em import _as_theta
 from .errors import NonPositiveVarianceError, SingularCovarianceError
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
@@ -29,18 +29,12 @@ class TestReport:
     reject_at: dict
 
 
-def _as_vector(theta) -> np.ndarray:
-    if isinstance(theta, ParamVector):
-        return np.asarray(theta.theta, dtype=float)
-    return np.asarray(theta, dtype=float).reshape(-1)
-
-
 def chi_square_test(theta_hat, theta0, v_obs, alphas=DEFAULT_ALPHAS) -> TestReport:
     """Quadratic-form test of theta = theta0 with covariance ``v_obs``; the
     statistic (theta_hat - theta0)' v_obs^(-1) (theta_hat - theta0) is
     referred to chi-square with d = k^2 - k degrees of freedom (the number
     of free parameters in the quadratic form)."""
-    diff = _as_vector(theta_hat) - _as_vector(theta0)
+    diff = _as_theta(theta_hat) - _as_theta(theta0)
     v = np.asarray(v_obs, dtype=float)
     if v.shape != (diff.size, diff.size):
         raise ValueError("covariance shape disagrees with the parameter vector")

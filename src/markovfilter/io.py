@@ -13,21 +13,42 @@ from .errors import FileFormatError
 from .filtering import FilteredChain, FilterMatrix
 
 
-def read_chain(path, k: int) -> CompleteChain:
-    path = Path(path)
+def _read_codes(path: Path, k: int, blank_token=None) -> np.ndarray:
+    """The file's tokens as integer codes: state labels 1..k map to
+    themselves and ``blank_token`` (when given; it wins over a label) to 0.
+    One dict lookup per token; a token outside that table sends the file
+    through the per-token parser, which accepts any ``int()`` spelling of a
+    label and names the first bad token by position."""
     tokens = path.read_text().split()
-    states = []
+    table = {str(s): s for s in range(1, k + 1)}
+    if blank_token is not None:
+        table[blank_token] = 0
+    try:
+        return np.fromiter(map(table.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    except KeyError:
+        pass
+    expected = "not a state label" if blank_token is None else f"neither a state nor {blank_token!r}"
+    codes = []
     for pos, tok in enumerate(tokens):
+        if tok == blank_token:
+            codes.append(0)
+            continue
         try:
             state = int(tok)
         except ValueError:
-            raise FileFormatError(path, f"token {pos + 1} ({tok!r}) is not a state label")
+            raise FileFormatError(path, f"token {pos + 1} ({tok!r}) is {expected}")
         if not 1 <= state <= k:
             raise FileFormatError(path, f"token {pos + 1}: state {state} outside 1..{k}")
-        states.append(state)
+        codes.append(state)
+    return np.array(codes, dtype=np.intp)
+
+
+def read_chain(path, k: int) -> CompleteChain:
+    path = Path(path)
+    states = _read_codes(path, k)
     if len(states) < 2:
         raise FileFormatError(path, "a chain file needs at least two states")
-    return CompleteChain(tuple(states), StateSpace(k))
+    return CompleteChain(states, StateSpace(k))
 
 
 def write_chain(path, chain: CompleteChain) -> None:
@@ -36,25 +57,11 @@ def write_chain(path, chain: CompleteChain) -> None:
 
 def read_filtered_chain(path, k: int, blank_token: str = "-") -> FilteredChain:
     path = Path(path)
-    tokens = path.read_text().split()
-    symbols = []
-    for pos, tok in enumerate(tokens):
-        if tok == blank_token:
-            symbols.append(None)
-            continue
-        try:
-            state = int(tok)
-        except ValueError:
-            raise FileFormatError(
-                path, f"token {pos + 1} ({tok!r}) is neither a state nor {blank_token!r}"
-            )
-        if not 1 <= state <= k:
-            raise FileFormatError(path, f"token {pos + 1}: state {state} outside 1..{k}")
-        symbols.append(state)
-    if not symbols:
+    codes = _read_codes(path, k, blank_token)
+    if not codes.size:
         raise FileFormatError(path, "empty filtered chain")
     try:
-        return FilteredChain(tuple(symbols), StateSpace(k))
+        return FilteredChain.from_codes(codes, StateSpace(k))
     except ValueError as err:
         raise FileFormatError(path, str(err))
 

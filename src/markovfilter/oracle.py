@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import CompleteChain, CountMatrix, ParamVector, StateSpace, TransitionMatrix
+from .core import CompleteChain, CountMatrix, StateSpace
+from .em import _as_probs
 from .errors import BudgetExceededError, EmptyCompletionSetError
 from .filtering import FilteredChain, FilterMatrix, _coverage_failure
 
@@ -47,7 +48,7 @@ def enumerate_completions(
     recorded adjacent transition). Chains of probability zero are dropped.
     """
     k = y.space.k
-    probs = P.probs if isinstance(P, TransitionMatrix) else np.asarray(P, dtype=float)
+    probs = _as_probs(P, k)
     bits = F.bits
     sym = y.symbols
     blanks = [p for p, s in enumerate(sym) if s is None]
@@ -79,7 +80,7 @@ def enumerate_completions(
         idx = np.asarray(states, dtype=np.intp) - 1
         weight = float(np.prod(probs[idx[:-1], idx[1:]]))
         if weight > 0.0:
-            found.append((CompleteChain(tuple(states), space), weight))
+            found.append((CompleteChain._of(idx, space), weight))
     return CompletionSet(tuple(found))
 
 
@@ -156,15 +157,8 @@ def distinguishability_check(
     if not 1 <= initial <= k:
         raise ValueError(f"initial state {initial} outside 1..{k}")
 
-    def as_probs(theta):
-        if isinstance(theta, ParamVector):
-            return theta.to_probs()
-        if isinstance(theta, TransitionMatrix):
-            return theta.probs
-        return np.asarray(theta, dtype=float)
-
-    p1 = as_probs(theta1)
-    p2 = as_probs(theta2)
+    p1 = _as_probs(theta1, k)
+    p2 = _as_probs(theta2, k)
     table = _chain_table(k, length, initial)
     ids = _pattern_ids(k, length, initial, F.bits.tobytes())
     w1 = np.prod(p1[table[:, :-1], table[:, 1:]], axis=1)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountMatrix, ParamVector, probs_to_theta, theta_to_probs
-from .em import EMResult, _Segments, _as_probs, _em_map
+from .core import CountMatrix, probs_to_theta, theta_to_probs
+from .em import EMResult, _as_probs, _as_theta, _em_map
 from .errors import (
     RowNotConvergedError,
     SingularBlockError,
@@ -126,17 +126,13 @@ def sem_m1(
     ``max_iter`` steps.
     """
     k = y.space.k
-    theta_hat = np.asarray(
-        theta_hat.theta if isinstance(theta_hat, ParamVector) else theta_hat, float
-    )
-    theta_t = np.asarray(
-        theta_init.theta if isinstance(theta_init, ParamVector) else theta_init, float
-    ).copy()
+    theta_hat = _as_theta(theta_hat)
+    theta_t = _as_theta(theta_init).copy()
     d = k * (k - 1)
     if theta_hat.shape != (d,) or theta_t.shape != (d,):
         raise ValueError(f"expected {d} parameters")
 
-    seg = _Segments.from_chain(y)
+    seg = y.segments
 
     def em_update(theta):
         return probs_to_theta(_em_map(seg, theta_to_probs(theta, k), F.bits)[0])
@@ -217,9 +213,7 @@ def symmetry_diagnostic(v: np.ndarray) -> float:
 def default_sem_start(theta_hat, v_com_mat: np.ndarray, k: int) -> np.ndarray:
     """Estimate shifted by two complete-data standard deviations, pulled back
     toward the estimate where a row would leave the parameter space."""
-    theta = np.asarray(
-        theta_hat.theta if isinstance(theta_hat, ParamVector) else theta_hat, float
-    ).copy()
+    theta = _as_theta(theta_hat).copy()
     delta = 2.0 * np.sqrt(np.clip(np.diag(v_com_mat), 0.0, None))
     delta[theta == 0.0] = 0.0  # structurally fixed coordinates stay put
     start = theta + delta

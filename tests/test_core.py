@@ -101,6 +101,63 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_chain(bench_matrix, 4, 10, seed=0)
 
+    @staticmethod
+    def step_by_step(P, initial, n, seed):
+        """The straightforward walk: one search of the cumulative row per step."""
+        k = P.k
+        rng = np.random.default_rng(seed)
+        cum = np.cumsum(P.probs, axis=1)
+        draws = rng.random(n)
+        states = np.empty(n + 1, dtype=np.intp)
+        states[0] = initial - 1
+        cur = initial - 1
+        for t in range(n):
+            cur = min(int(np.searchsorted(cum[cur], draws[t], side="right")), k - 1)
+            states[t + 1] = cur
+        return tuple(int(s) + 1 for s in states)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_draws_match_the_step_by_step_walk(self, k):
+        # sparse rows (exact zeros) and a chain longer than one lookup block
+        for seed, n in ((0, 70_000), (1, 1), (2, 777), (3, 5_000), (4, 20_000)):
+            rng = np.random.default_rng([k, seed])
+            probs = rng.gamma(0.4, 1.0, (k, k)) * (rng.random((k, k)) < 0.7)
+            probs[np.arange(k), rng.permutation(k)] += 0.1
+            P = TransitionMatrix.from_probs(probs / probs.sum(axis=1, keepdims=True))
+            initial = 1 + seed % k
+            chain = simulate_chain(P, initial, n, seed)
+            assert chain.states == self.step_by_step(P, initial, n, seed)
+
+
+class TestChainStorage:
+    def test_states_are_a_read_only_index_array(self):
+        chain = CompleteChain((1, 3, 2), StateSpace(3))
+        np.testing.assert_array_equal(chain.as_indices(), [0, 2, 1])
+        with pytest.raises(ValueError):
+            chain.as_indices()[0] = 1
+        assert chain.states == (1, 3, 2)
+        assert len(chain) == 3 and chain.n_transitions == 2
+
+    def test_input_array_is_copied(self):
+        labels = np.array([1, 2, 2])
+        chain = CompleteChain(labels, StateSpace(2))
+        labels[0] = 2
+        assert chain.states == (1, 2, 2)
+
+    def test_value_semantics(self):
+        a = CompleteChain((1, 2, 2), StateSpace(2))
+        assert a == CompleteChain(np.array([1, 2, 2]), StateSpace(2))
+        assert a != CompleteChain((1, 2, 2), StateSpace(3))
+        assert len({a, CompleteChain([1.0, 2.0, 2.0], StateSpace(2))}) == 1
+        with pytest.raises(AttributeError):
+            a.space = StateSpace(3)
+
+    @pytest.mark.parametrize("bad", [0, 4, 2**63, -(10**30)])
+    def test_out_of_range_names_the_position(self, bad):
+        with pytest.raises(ValueError) as err:
+            CompleteChain((1, 3, bad, 4), StateSpace(3))
+        assert str(err.value) == f"state {bad} at position 2 outside 1..3"
+
 
 class TestCounts:
     def test_self_loop_chain(self):

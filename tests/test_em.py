@@ -119,6 +119,38 @@ class TestSegment:
             assert len(pairs) + sum(g.length for g in gaps) == y.n_transitions
 
 
+    def test_long_chain_matches_a_plain_loop(self, bench_matrix, bench_filter):
+        # n ~ 1e5, three trailing blanks appended so the chain ends in a gap
+        y = apply_filter(simulate_chain(bench_matrix, 1, 100_000, seed=8), bench_filter)
+        y = FilteredChain.from_codes(np.append(y.codes, [0, 0, 0]), StateSpace(3))
+        symbols = y.symbols
+        observed = [p for p, s in enumerate(symbols) if s is not None]
+        pairs, gaps, tally, types = [], [], np.zeros((3, 3)), {}
+        for p, q in zip(observed, observed[1:] + [len(symbols) - 1]):
+            if q == p + 1 and symbols[q] is not None:
+                pairs.append((symbols[p], symbols[q]))
+                tally[symbols[p] - 1, symbols[q] - 1] += 1
+            elif q > p:
+                key = (symbols[p], q - p, symbols[q])
+                gaps.append(GapSegment(*key))
+                first, mult = types.get(key, (p, 0))
+                types[key] = (first, mult + 1)
+        assert symbols[-1] is None and gaps[-1].next_state is None
+        assert segment_chain(y) == (pairs, gaps)
+
+        seg = y.segments
+        np.testing.assert_array_equal(seg.observed, observed)
+        np.testing.assert_array_equal(seg.pair_counts, tally)
+        got = [
+            (a + 1, nu, None if trail else b + 1)
+            for a, nu, b, trail in zip(seg.a, seg.nu, seg.b, seg.trail)
+        ]
+        assert got == list(types)  # distinct types, in order of first occurrence
+        np.testing.assert_array_equal(seg.first, [f for f, _ in types.values()])
+        np.testing.assert_array_equal(seg.mult, [m for _, m in types.values()])
+        assert seg.nu_max == max(g.length for g in gaps)
+
+
 class TestGapCounts:
     def test_forced_two_step_gap(self):
         S = split_p(two_state(0.3, 0.4), F_DIAG)

@@ -54,6 +54,46 @@ class TestApplyFilter:
             apply_filter(worked_chain, FilterMatrix.all_ones(2))
 
 
+class TestFilteredChainStorage:
+    def test_codes_hold_blanks_as_zero(self):
+        y = FilteredChain((2, None, 3, None), StateSpace(3))
+        np.testing.assert_array_equal(y.codes, [2, 0, 3, 0])
+        with pytest.raises(ValueError):
+            y.codes[1] = 1
+        assert y.symbols == (2, None, 3, None)
+        assert (len(y), y.n_transitions, y.blank_count) == (4, 3, 2)
+        assert y.to_text() == "2 - 3 -"
+
+    def test_from_codes_equals_the_tuple_form(self):
+        y = FilteredChain.from_codes(np.array([2, 0, 3, 0]), StateSpace(3))
+        assert y == FilteredChain((2, None, 3, None), StateSpace(3))
+        assert hash(y) == hash(FilteredChain((2, None, 3, None), StateSpace(3)))
+
+    @pytest.mark.parametrize(
+        "symbols, message",
+        [
+            ((1,), "a filtered chain needs at least two symbols"),
+            ((None, 1), "the initial state must be observed"),
+            ((1, None, 0), "state 0 at position 2 outside 1..2"),
+            ((0, 1), "state 0 at position 0 outside 1..2"),
+            ((1, 3, None, -1), "state 3 at position 1 outside 1..2"),
+            ((1, None, 10**30), "state 1000000000000000000000000000000 at position 2 outside 1..2"),
+        ],
+    )
+    def test_rejections_name_the_position(self, symbols, message):
+        with pytest.raises(ValueError) as err:
+            FilteredChain(symbols, StateSpace(2))
+        assert str(err.value) == message
+
+    def test_from_codes_rejects_negative_codes(self):
+        with pytest.raises(ValueError, match="state -1 at position 1 outside 1..2"):
+            FilteredChain.from_codes([1, -1, 2], StateSpace(2))
+
+    def test_segmented_once(self, worked_chain, worked_filter):
+        y = apply_filter(worked_chain, worked_filter)
+        assert y.segments is y.segments
+
+
 class TestClassify:
     def test_worked_example_categories(self, worked_chain, worked_filter):
         cls = classify_transitions(worked_chain, worked_filter)

@@ -81,6 +81,54 @@ class TestIoRoundTrips:
             io.read_filtered_chain(path, 3)
 
 
+class TestReadFilteredChain:
+    """Messages and results of the filtered-chain reader, token by token."""
+
+    @pytest.mark.parametrize(
+        "text, blank, message",
+        [
+            ("1 x 2", "-", "token 2 ('x') is neither a state nor '-'"),
+            ("1 0 2", "-", "token 2: state 0 outside 1..3"),
+            ("1 -1 2", "-", "token 2: state -1 outside 1..3"),
+            ("1 2 4", "-", "token 3: state 4 outside 1..3"),
+            ("1 2 99999999999999999999999", "-", "token 3: state 99999999999999999999999 outside 1..3"),
+            ("2 1 - 3", "1", "token 3 ('-') is neither a state nor '1'"),
+            ("1 2 1 3", "1", "the initial state must be observed"),
+            ("", "-", "empty filtered chain"),
+            ("1", "-", "a filtered chain needs at least two symbols"),
+            ("- 1 2", "-", "the initial state must be observed"),
+        ],
+    )
+    def test_messages(self, tmp_path, text, blank, message):
+        path = tmp_path / "y.txt"
+        write(path, text)
+        with pytest.raises(FileFormatError) as err:
+            io.read_filtered_chain(path, 3, blank_token=blank)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, blank, symbols",
+        [
+            ("01 2 - +3", "-", (1, 2, None, 3)),  # any int() spelling of a label
+            ("2 1 3\n1", "1", (2, None, 3, None)),  # the blank token wins over a label
+            ("3\t-\n\n2 -", "-", (3, None, 2, None)),
+        ],
+    )
+    def test_accepted_spellings(self, tmp_path, text, blank, symbols):
+        path = tmp_path / "y.txt"
+        write(path, text)
+        y = io.read_filtered_chain(path, 3, blank_token=blank)
+        assert y.symbols == symbols
+        assert y.codes.dtype == np.intp
+
+    def test_chain_reader_names_the_token(self, tmp_path):
+        path = tmp_path / "chain.txt"
+        write(path, "1 2 - 1\n")
+        with pytest.raises(FileFormatError) as err:
+            io.read_chain(path, 3)
+        assert str(err.value) == f"{path}: token 3 ('-') is not a state label"
+
+
 def test_failure_exit_codes_are_distinct():
     from markovfilter.cli import EXIT_NUMERICAL
 
