@@ -4,8 +4,10 @@ collecting any data.
 A filter is provably safe when some filter BELOW it (storing a subset of
 its transitions) belongs to one of three structured families; storing more
 data than an identifiable filter keeps identifiability. The checker finds
-such a witness by matching-based search. When it fails, the verdict is
-"unknown", not "impossible" - the conditions are sufficient, not necessary.
+such a witness by bipartite matching: one matching for the one-zero-row
+family, one per candidate pair of rows for the other two. When it fails,
+the verdict is "unknown", not "impossible" - the conditions are
+sufficient, not necessary.
 The enumeration oracle cross-checks a verdict empirically: an identifiable
 filter must separate the filtered-pattern distributions of distinct
 parameter values.

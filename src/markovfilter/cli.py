@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,24 +45,6 @@ EXIT_PARSE = 3
 EXIT_CONSISTENCY = 4
 EXIT_NUMERICAL = 5
 EXIT_UNIDENTIFIABLE = 6
-
-
-@dataclass
-class RunConfig:
-    """Knobs shared by the estimation commands."""
-
-    k: int
-    blank_token: str = "-"
-    tol: float = 1e-12
-    sem_tol: float = 1e-6
-    max_iter: int = 100_000
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.sem_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
 
 
 def _fmt(value: float) -> str:
@@ -147,8 +128,8 @@ def _intervals(em_result, sem_result, alpha: float) -> list:
     return rows
 
 
-def _estimate_report(config: RunConfig, y, reduction, em_result, sem_result, intervals) -> dict:
-    k = config.k
+def _estimate_report(alpha: float, y, reduction, em_result, sem_result, intervals) -> dict:
+    k = y.space.k
     probs = em_result.probs
     entries: dict = {
         "estimate.k": k,
@@ -157,7 +138,7 @@ def _estimate_report(config: RunConfig, y, reduction, em_result, sem_result, int
         "estimate.iterations": em_result.iterations,
         "estimate.converged": em_result.converged,
         "estimate.loglik": em_result.final_observed_loglik,
-        "estimate.alpha": config.alpha,
+        "estimate.alpha": alpha,
     }
     for i in range(k):
         for j in range(k):
@@ -183,22 +164,16 @@ def _estimate_report(config: RunConfig, y, reduction, em_result, sem_result, int
 
 def cmd_estimate(args) -> int:
     F = io.read_filter_csv(args.filter)
-    config = RunConfig(
-        k=F.k,
-        blank_token=args.blank_token,
-        tol=args.tol,
-        sem_tol=args.sem_tol,
-        max_iter=args.max_iter,
-        alpha=args.alpha,
-    )
+    if args.tol <= 0 or args.sem_tol <= 0:
+        raise ValueError("tolerances must be positive")
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     if args.states is not None and args.states != F.k:
         raise FileFormatError(args.filter, f"filter is {F.k}x{F.k} but --states={args.states}")
-    y = io.read_filtered_chain(args.filtered, F.k, config.blank_token)
+    y = io.read_filtered_chain(args.filtered, F.k, args.blank_token)
     support = io.read_support_csv(args.support) if args.support else None
     try:  # run_em validates the pattern before it iterates
-        em_result = run_em(
-            y, F, tol=config.tol, max_iter=config.max_iter, support=support
-        )
+        em_result = run_em(y, F, tol=args.tol, max_iter=args.max_iter, support=support)
     except ConsistencyError as err:
         print(
             f"error: {err}\nhint: check that the blank token and the filter match the "
@@ -210,9 +185,7 @@ def cmd_estimate(args) -> int:
     sem_result = None
     if not args.skip_sem:
         try:
-            sem_result = run_sem(
-                y, F, em_result, sem_tol=config.sem_tol, max_iter=config.max_iter
-            )
+            sem_result = run_sem(y, F, em_result, sem_tol=args.sem_tol, max_iter=args.max_iter)
         except MarkovFilterError as err:
             print(
                 f"error: {err}\nhint: the estimate itself is fine; rerun with "
@@ -223,7 +196,7 @@ def cmd_estimate(args) -> int:
             return EXIT_NUMERICAL
 
     reduction = reduction_fraction(y)
-    intervals = None if sem_result is None else _intervals(em_result, sem_result, config.alpha)
+    intervals = None if sem_result is None else _intervals(em_result, sem_result, args.alpha)
     print(f"EM converged: {em_result.converged} after {em_result.iterations} iterations")
     print(f"observed log-likelihood = {_fmt(em_result.final_observed_loglik)}")
     print(f"reduction fraction = {_fmt(reduction)}")
@@ -252,7 +225,7 @@ def cmd_estimate(args) -> int:
                 "tighten --tol/--sem-tol",
                 file=sys.stderr,
             )
-    entries = _estimate_report(config, y, reduction, em_result, sem_result, intervals)
+    entries = _estimate_report(args.alpha, y, reduction, em_result, sem_result, intervals)
     if args.out:
         io.write_kv_report(args.out, entries)
         print(f"wrote report to {args.out}")
@@ -288,15 +261,20 @@ def cmd_test(args) -> int:
         raise FileFormatError(args.null, f"expected a {k}x{k} matrix")
     theta_hat = probs_to_theta(probs_hat)
     theta0 = probs_to_theta(P0.probs)
+    diag = np.diag(v)
+    # a fixed coordinate has zero variance and no degree of freedom; a
+    # negative variance stays in and fails the test
+    free = diag != 0
 
-    overall = chi_square_test(theta_hat, theta0, v, alphas=(args.alpha,))
+    overall = chi_square_test(
+        theta_hat[free], theta0[free], v[np.ix_(free, free)], alphas=(args.alpha,)
+    )
     print(f"chi-square statistic = {_fmt(overall.statistic)}")
     print(f"degrees of freedom   = {overall.df} (k*k = {k * k} under the looser convention)")
     print(f"p-value              = {_fmt(overall.p_value)}")
     decision = "reject" if overall.reject_at[args.alpha] else "fail to reject"
     print(f"decision at alpha={_fmt(args.alpha)}: {decision}")
     print("per-parameter z tests:")
-    diag = np.diag(v)
     for idx in range(d):
         i, j = idx // (k - 1) + 1, idx % (k - 1) + 1
         if diag[idx] <= 0:

@@ -312,15 +312,19 @@ def transition_counts(x: CompleteChain) -> CountMatrix:
     return CountMatrix(counts)
 
 
+def _normalize_rows(counts: np.ndarray) -> np.ndarray:
+    """Row-normalize counts; raises when a state gathered no mass."""
+    rowsums = counts.sum(axis=1)
+    empty = np.flatnonzero(rowsums <= 0.0)
+    if empty.size:
+        raise ZeroRowTotalError(int(empty[0]) + 1)
+    return counts / rowsums[:, None]
+
+
 def complete_mle(N: CountMatrix, support=None) -> TransitionMatrix:
     """Row-normalize the counts: p_ij = n_ij / n_i. Every state must occur
     as a source at least once."""
-    counts = N.counts
-    rowsums = counts.sum(axis=1)
-    for i, total in enumerate(rowsums):
-        if total <= 0:
-            raise ZeroRowTotalError(i + 1)
-    return TransitionMatrix.from_probs(counts / rowsums[:, None], support)
+    return TransitionMatrix.from_probs(_normalize_rows(N.counts), support)
 
 
 def encode_tuple_state(tup, k: int) -> int:

@@ -27,10 +27,11 @@ from .core import (
     ParamVector,
     StateSpace,
     TransitionMatrix,
+    _normalize_rows,
     probs_to_theta,
     theta_to_probs,
 )
-from .errors import NonFiniteError, ZeroDenominatorError, ZeroRowTotalError
+from .errors import NonFiniteError, ZeroDenominatorError
 from .filtering import ChainSegments, FilteredChain, FilterMatrix, validate_consistency
 
 
@@ -192,16 +193,6 @@ def _as_theta(theta) -> np.ndarray:
     if isinstance(theta, ParamVector):
         theta = theta.theta
     return np.asarray(theta, dtype=float).reshape(-1)
-
-
-def _normalize_rows(counts: np.ndarray) -> np.ndarray:
-    """The M-step: row-normalize expected counts; raises when a state
-    gathered no mass."""
-    rowsums = counts.sum(axis=1)
-    empty = np.flatnonzero(rowsums <= 0.0)
-    if empty.size:
-        raise ZeroRowTotalError(int(empty[0]) + 1)
-    return counts / rowsums[:, None]
 
 
 def _em_map(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):

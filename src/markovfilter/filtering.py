@@ -7,6 +7,8 @@ transition (the initial state is always revealed). The identifiability
 checker searches for a witness filter D below F that belongs to one of the
 three structured families known to keep all transition probabilities
 identifiable; data reduced by any filter above such a D stays estimable.
+One search per family serves both questions: a family's witness lies below
+F, so F is itself a member exactly when the witness has as many ones as F.
 """
 
 from __future__ import annotations
@@ -254,54 +256,102 @@ def reduction_fraction(y: FilteredChain) -> float:
     return y.blank_count / len(y)
 
 
-def in_class_c1(F: FilterMatrix):
-    """Witness (alpha, beta), 1-based, iff row alpha and column beta are zero
-    and every other row and column holds exactly one 1; None otherwise."""
-    bits = F.bits
-    k = F.k
-    row_ones = bits.sum(axis=1)
-    col_ones = bits.sum(axis=0)
-    for a in range(k):
-        if row_ones[a] != 0:
-            continue
-        for b in range(k):
-            if col_ones[b] != 0:
+def _matching(adj: np.ndarray) -> np.ndarray:
+    """Maximum bipartite matching by augmenting paths, rows tried from last
+    to first. ``adj`` is rows x cols boolean; returns the row matched to
+    each column, -1 where the column stays free."""
+    neighbours = [[c for c, edge in enumerate(row) if edge] for row in adj.tolist()]
+    match_col = [-1] * adj.shape[1]
+
+    def augment(r: int, seen: set) -> bool:
+        for c in neighbours[r]:
+            if c not in seen:
+                seen.add(c)
+                if match_col[c] < 0 or augment(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in reversed(range(adj.shape[0])):
+        augment(r, set())
+    return np.array(match_col, dtype=np.intp)
+
+
+def _c1_search(bits: np.ndarray):
+    """(alpha, beta, witness), 0-based, of the one-zero-row family below
+    ``bits``, or None. A matching with k-1 edges leaves exactly one row alpha
+    and one column beta free, so one maximum matching decides the family; a
+    perfect matching gives up column 0's edge."""
+    match = _matching(bits)
+    free = np.flatnonzero(match < 0)
+    if free.size > 1:
+        return None
+    if free.size == 0:
+        free, match[0] = [0], -1
+    cols = np.flatnonzero(match >= 0)
+    wit = np.zeros_like(bits)
+    wit[match[cols], cols] = True
+    return int(np.flatnonzero(~wit.any(axis=1))[0]), int(free[0]), wit
+
+
+def _c2_search(bits: np.ndarray, support=None):
+    """(alpha, beta, witness), 0-based with alpha < beta, of the
+    two-zero-column family below ``bits``, or None: rows alpha and beta full
+    outside {alpha, beta} and a perfect matching on the rest. With a support
+    mask the matching uses allowed transitions only and rows alpha, beta
+    must record an allowed one (restriction R)."""
+    k = bits.shape[0]
+    if k < 3:
+        return None
+    edges = bits if support is None else bits & support
+    rows = np.flatnonzero(bits.sum(axis=1) >= k - 2).tolist()  # the only candidates
+    for i, a in enumerate(rows):
+        for b in rows[i + 1 :]:
+            outside = [c for c in range(k) if c not in (a, b)]
+            if not (bits[a, outside].all() and bits[b, outside].all()):
                 continue
-            rows_ok = all(row_ones[r] == 1 for r in range(k) if r != a)
-            cols_ok = all(col_ones[c] == 1 for c in range(k) if c != b)
-            if rows_ok and cols_ok:
-                return (a + 1, b + 1)
+            if support is not None and not (
+                support[a, outside].any() and support[b, outside].any()
+            ):
+                continue
+            match = _matching(edges[np.ix_(outside, outside)])
+            if (match >= 0).all():
+                wit = np.zeros_like(bits)
+                wit[np.ix_([a, b], outside)] = True
+                wit[np.array(outside)[match], outside] = True
+                return a, b, wit
     return None
 
 
-def _is_permutation(sub: np.ndarray) -> bool:
-    if sub.size == 0:
-        return True
-    return bool(np.all(sub.sum(axis=1) == 1) and np.all(sub.sum(axis=0) == 1))
+def _searches(bits: np.ndarray):
+    """The three family searches below ``bits`` in order, each run when the
+    caller asks for the next: one zero row and column, two zero columns, two
+    zero rows (the transpose of the second)."""
+    yield _c1_search(bits)
+    yield _c2_search(bits)
+    found = _c2_search(bits.T)
+    yield None if found is None else (found[0], found[1], found[2].T)
+
+
+def _member(found, F: FilterMatrix, ones: int):
+    """(alpha, beta), 1-based, when F is in the family: the family's witness
+    lies below F, so F is a member iff the witness has as many ones as F."""
+    if found is None or np.count_nonzero(F.bits) != ones:
+        return None
+    return found[0] + 1, found[1] + 1
+
+
+def in_class_c1(F: FilterMatrix):
+    """Witness (alpha, beta), 1-based, iff row alpha and column beta are zero
+    and every other row and column holds exactly one 1; None otherwise."""
+    return _member(_c1_search(F.bits), F, F.k - 1)
 
 
 def in_class_c2(F: FilterMatrix):
     """Witness (alpha, beta), 1-based with alpha < beta, iff columns alpha and
     beta are zero, rows alpha and beta are all ones outside {alpha, beta}, and
     the remaining (k-2)x(k-2) submatrix is a permutation matrix."""
-    bits = F.bits
-    k = F.k
-    if k < 3:
-        return None
-    col_ones = bits.sum(axis=0)
-    for a in range(k):
-        if col_ones[a] != 0:
-            continue
-        for b in range(a + 1, k):
-            if col_ones[b] != 0:
-                continue
-            outside = [c for c in range(k) if c not in (a, b)]
-            if not (bits[a, outside].all() and bits[b, outside].all()):
-                continue
-            sub = bits[np.ix_(outside, outside)]
-            if _is_permutation(sub):
-                return (a + 1, b + 1)
-    return None
+    return _member(_c2_search(F.bits), F, 3 * (F.k - 2))
 
 
 def in_class_c3(F: FilterMatrix):
@@ -311,83 +361,11 @@ def in_class_c3(F: FilterMatrix):
     return in_class_c2(FilterMatrix(F.bits.T))
 
 
-def _augmenting_matching(adj: np.ndarray):
-    """Maximum bipartite matching by augmenting paths.
-
-    ``adj`` is rows x cols boolean. Returns (size, match_row) where
-    match_row[r] is the matched column of row r or -1.
-    """
-    n_rows, n_cols = adj.shape
-    match_col = np.full(n_cols, -1, dtype=int)
-
-    def try_assign(r: int, seen: np.ndarray) -> bool:
-        for c in range(n_cols):
-            if adj[r, c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] == -1 or try_assign(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    size = 0
-    for r in range(n_rows):
-        if try_assign(r, np.zeros(n_cols, dtype=bool)):
-            size += 1
-    match_row = np.full(n_rows, -1, dtype=int)
-    for c, r in enumerate(match_col):
-        if r >= 0:
-            match_row[r] = c
-    return size, match_row
-
-
-def _c1_closure_witness(F: FilterMatrix):
-    bits = F.bits
-    k = F.k
-    for a in range(k):
-        rows = [r for r in range(k) if r != a]
-        for b in range(k):
-            cols = [c for c in range(k) if c != b]
-            size, match_row = _augmenting_matching(bits[np.ix_(rows, cols)])
-            if size == k - 1:
-                wit = np.zeros((k, k), dtype=bool)
-                for ri, r in enumerate(rows):
-                    wit[r, cols[match_row[ri]]] = True
-                return FilterMatrix(wit)
-    return None
-
-
-def _c2_closure_witness(F: FilterMatrix, support):
-    bits = F.bits
-    k = F.k
-    if k < 3:
-        return None
-    edges = bits if support is None else bits & support
-    for a in range(k):
-        for b in range(a + 1, k):
-            outside = [c for c in range(k) if c not in (a, b)]
-            if not (bits[a, outside].all() and bits[b, outside].all()):
-                continue
-            if support is not None and not (
-                support[a, outside].any() and support[b, outside].any()
-            ):
-                # rows a and b would observe no allowed transition
-                continue
-            size, match_row = _augmenting_matching(edges[np.ix_(outside, outside)])
-            if size == k - 2:
-                wit = np.zeros((k, k), dtype=bool)
-                wit[a, outside] = True
-                wit[b, outside] = True
-                for ri, r in enumerate(outside):
-                    wit[r, outside[match_row[ri]]] = True
-                return FilterMatrix(wit)
-    return None
-
-
-def _c3_closure_witness(F: FilterMatrix):
-    wit = _c2_closure_witness(FilterMatrix(F.bits.T), None)
-    if wit is None:
-        return None
-    return FilterMatrix(wit.bits.T)
+def _support(F: FilterMatrix, support) -> np.ndarray:
+    support = np.asarray(support, dtype=bool)
+    if support.shape != F.bits.shape:
+        raise ValueError("support mask shape differs from the filter")
+    return support
 
 
 def closure_witness(F: FilterMatrix, support=None):
@@ -395,31 +373,23 @@ def closure_witness(F: FilterMatrix, support=None):
     one of the three identifiable families; with a support mask, D must also
     observe at least one allowed transition per row (restriction R).
 
-    The search enumerates the O(k^2) candidate (alpha, beta) pairs and runs
-    an augmenting-path matching per candidate, so it is exact and polynomial.
-    Returns None when no witness exists.
+    One maximum matching decides the one-zero-row family; the two-zero-column
+    and two-zero-row families take a matching per candidate pair (alpha,
+    beta), so the search is exact and polynomial. Returns None when no
+    witness exists.
     """
     if support is not None:
-        support = np.asarray(support, dtype=bool)
-        if support.shape != F.bits.shape:
-            raise ValueError("support mask shape differs from the filter")
         # The one-zero-row and two-zero-row families cannot observe anything
         # in their zero rows, so restriction R rules them out entirely.
-        return _c2_closure_witness(F, support)
-    wit = _c1_closure_witness(F)
-    if wit is not None:
-        return wit
-    wit = _c2_closure_witness(F, None)
-    if wit is not None:
-        return wit
-    return _c3_closure_witness(F)
+        found = _c2_search(F.bits, _support(F, support))
+    else:
+        found = next((f for f in _searches(F.bits) if f is not None), None)
+    return None if found is None else FilterMatrix(found[2])
 
 
 def satisfies_r(F: FilterMatrix, support) -> bool:
     """True iff every row records at least one transition the support allows."""
-    support = np.asarray(support, dtype=bool)
-    if support.shape != F.bits.shape:
-        raise ValueError("support mask shape differs from the filter")
+    support = _support(F, support)
     if np.any(~support.any(axis=1)) or np.any(~support.any(axis=0)):
         raise ValueError("support must allow a transition in every row and column")
     return bool((F.bits & support).any(axis=1).all())
@@ -427,16 +397,27 @@ def satisfies_r(F: FilterMatrix, support) -> bool:
 
 def identifiability_verdict(F: FilterMatrix, support=None) -> IdentifiabilityVerdict:
     """Assemble class memberships and the closure-witness search into a
-    verdict. SUFFICIENT_IDENTIFIABLE is a proof; UNKNOWN only means the
-    sufficient conditions checked here do not apply."""
-    wit = closure_witness(F, support)
-    r_ok = True if support is None else satisfies_r(F, support)
+    verdict. Each family search runs at most once; its witness gives both
+    the membership and, without a support mask, the closure witness.
+    SUFFICIENT_IDENTIFIABLE is a proof; UNKNOWN only means the sufficient
+    conditions checked here do not apply."""
+    searches = _searches(F.bits)
+    c1 = next(searches)
+    # a C1 witness is a matching of k-1 edges, so F then has no two zero
+    # columns or rows: it is in neither pair family and needs no other witness
+    c2, c3 = searches if c1 is None else (None, None)
+    pair_ones = 3 * (F.k - 2)
+    if support is None:
+        found = next((f for f in (c1, c2, c3) if f is not None), None)
+        wit = None if found is None else FilterMatrix(found[2])
+    else:
+        wit = closure_witness(F, support)
     return IdentifiabilityVerdict(
-        in_c1=in_class_c1(F) is not None,
-        in_c2=in_class_c2(F) is not None,
-        in_c3=in_class_c3(F) is not None,
+        in_c1=_member(c1, F, F.k - 1) is not None,
+        in_c2=_member(c2, F, pair_ones) is not None,
+        in_c3=_member(c3, F, pair_ones) is not None,
         closure_witness=wit,
-        satisfies_r=r_ok,
+        satisfies_r=True if support is None else satisfies_r(F, support),
         verdict=Verdict.SUFFICIENT_IDENTIFIABLE if wit is not None else Verdict.UNKNOWN,
     )
 

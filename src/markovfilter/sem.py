@@ -54,8 +54,9 @@ def complete_info(E, theta) -> np.ndarray:
 
     Block-diagonal with one (k-1) x (k-1) block per source state: block i
     has off-diagonal entries E[i,k]/p_ik^2 and adds E[i,j]/p_ij^2 on the
-    diagonal. Coordinates fixed at zero (p = 0 with no expected mass)
-    contribute nothing; positive mass on a zero probability is an error.
+    diagonal. A coordinate fixed at zero (p = 0 with no expected mass) is not
+    estimated: its row and column are zero. Positive mass on a zero
+    probability is an error.
     """
     counts = E.counts if isinstance(E, CountMatrix) else np.asarray(E, dtype=float)
     k = counts.shape[0]
@@ -77,24 +78,33 @@ def complete_info(E, theta) -> np.ndarray:
         block = np.full((k - 1, k - 1), c_last)
         for j in range(k - 1):
             block[j, j] += curvature(counts[i, j], probs[i, j], f"({i + 1},{j + 1})")
+        fixed = probs[i, : k - 1] <= 0.0
+        block[fixed, :] = 0.0
+        block[:, fixed] = 0.0
         sl = slice(i * (k - 1), (i + 1) * (k - 1))
         info[sl, sl] = block
     return info
 
 
 def v_com(i_com: np.ndarray) -> np.ndarray:
-    """Blockwise inverse of the complete-data information; each block must be
-    symmetric positive definite."""
+    """Blockwise inverse of the complete-data information. A fixed
+    coordinate's zero row and column stay zero; the rest of each block must
+    be symmetric positive definite, and a block with no nonzero entry is
+    singular."""
     i_com = np.asarray(i_com, dtype=float)
     d = i_com.shape[0]
     k = _block_size(d)
     out = np.zeros_like(i_com)
     for i in range(k):
         sl = slice(i * (k - 1), (i + 1) * (k - 1))
-        block = i_com[sl, sl]
+        free = np.flatnonzero(i_com[sl, sl].any(axis=1))
+        sub = np.ix_(free, free)
+        block = i_com[sl, sl][sub]
         try:
+            if not free.size:
+                raise np.linalg.LinAlgError("no coordinate carries information")
             np.linalg.cholesky(block)
-            out[sl, sl] = np.linalg.inv(block)
+            out[sl, sl][sub] = np.linalg.inv(block)
         except np.linalg.LinAlgError as err:
             raise SingularBlockError(
                 f"information block {i + 1} is not positive definite"

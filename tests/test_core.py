@@ -199,6 +199,12 @@ class TestCompleteMle:
         with pytest.raises(ZeroRowTotalError):
             complete_mle(N)
 
+    def test_zero_row_names_the_first_empty_row(self):
+        N = CountMatrix(np.array([[1, 2, 0], [0, 0, 0], [0, 0, 0]], dtype=float))
+        with pytest.raises(ZeroRowTotalError, match="state 2 never occurs") as err:
+            complete_mle(N)
+        assert err.value.row == 2
+
     def test_worked_example_rows(self, worked_chain):
         P = complete_mle(transition_counts(worked_chain))
         np.testing.assert_allclose(P.probs[0], [2 / 7, 4 / 7, 1 / 7])

@@ -1,8 +1,12 @@
 """Filter application, transition classification, the identifiability
 checker, and pattern consistency."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from markovfilter import (
     CompleteChain,
@@ -192,6 +196,84 @@ class TestClosureWitness:
             M = FilterMatrix(H.bits | extra)
             if closure_witness(H) is not None:
                 assert closure_witness(M) is not None
+
+
+def family_members(k):
+    """Every member of the three identifiable families, built from their
+    definitions, as a (members, k, k) boolean array."""
+    members = []
+    for a, b in itertools.product(range(k), repeat=2):
+        # one zero row a and zero column b; a bijection between the rest
+        rows = [r for r in range(k) if r != a]
+        for cols in itertools.permutations([c for c in range(k) if c != b]):
+            m = np.zeros((k, k), dtype=bool)
+            m[rows, list(cols)] = True
+            members.append(m)
+    for a, b in itertools.combinations(range(k), 2) if k > 2 else ():
+        # zero columns a and b, rows a and b full elsewhere, a permutation on
+        # the rest (at k = 2 that would be the all-zero filter, which is excluded)
+        rest = [c for c in range(k) if c not in (a, b)]
+        for cols in itertools.permutations(rest):
+            m = np.zeros((k, k), dtype=bool)
+            m[np.ix_([a, b], rest)] = True
+            m[rest, list(cols)] = True
+            members += [m, m.T]
+    return np.array(members)
+
+
+def reference_approval(bits):
+    """A witness exists iff some candidate (alpha, beta) submatrix has a
+    perfect matching, decided by scipy for every candidate."""
+
+    def perfect(sub):
+        match = maximum_bipartite_matching(csr_matrix(sub.astype(np.int8)), perm_type="column")
+        return bool(np.all(match >= 0))
+
+    k = len(bits)
+    for a, b in itertools.product(range(k), repeat=2):
+        if perfect(np.delete(np.delete(bits, a, axis=0), b, axis=1)):
+            return True
+    for m in (bits, bits.T):
+        for a, b in itertools.combinations(range(k), 2):
+            rest = [c for c in range(k) if c not in (a, b)]
+            if m[a, rest].all() and m[b, rest].all() and perfect(m[np.ix_(rest, rest)]):
+                return True
+    return False
+
+
+class TestCompleteness:
+    """The search finds a witness exactly when one exists."""
+
+    @staticmethod
+    def check(filters, k):
+        members = family_members(k)
+        outcomes = set()
+        for bits in filters:
+            dominates_member = bool(np.all(bits | ~members, axis=(1, 2)).any())
+            found = closure_witness(FilterMatrix(bits)) is not None
+            assert found == dominates_member, bits.astype(int)
+            outcomes.add(found)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_small_filter(self, k):
+        self.check((np.array(c).reshape(k, k) for c in itertools.product((False, True), repeat=k * k)), k)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_sampled_filters(self, k):
+        rng = np.random.default_rng(k)
+        self.check((rng.random((k, k)) < rng.uniform(0.1, 0.6) for _ in range(400)), k)
+
+    def test_large_filters_against_a_library_matching(self):
+        rng = np.random.default_rng(16)
+        outcomes = set()
+        for k in range(6, 17):
+            for density in (0.06, 0.1, 0.15, 0.3):
+                bits = rng.random((k, k)) < density
+                approved = identifiability_verdict(FilterMatrix(bits)).verdict is Verdict.SUFFICIENT_IDENTIFIABLE
+                assert approved == reference_approval(bits), bits.astype(int)
+                outcomes.add(approved)
+        assert outcomes == {True, False}
 
 
 class TestRestrictionR:

@@ -268,6 +268,45 @@ class TestEstimateCommand:
         for key in ("estimate.se.1.1", "estimate.ci.lo.1.1", "estimate.v_obs.1.1", "estimate.m1.1.1"):
             assert np.isfinite(float(entries[key]))
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--tol", "0"], "tolerances must be positive"),
+            (["--sem-tol=-1e-6"], "tolerances must be positive"),
+            (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1"),
+        ],
+    )
+    def test_bad_settings_exit_parse(self, tmp_path, bench_files, capsys, option, message):
+        _, f_file = bench_files
+        y_file = write(tmp_path / "y.txt", "1 2 1\n")
+        assert main(["estimate", y_file, f_file, *option]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_structural_zero_gets_no_variance(self, tmp_path, capsys):
+        probs = np.array([[0.0, 0.375, 0.625], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
+        p_file, f_file, s_file = tmp_path / "p.csv", tmp_path / "f.csv", tmp_path / "s.csv"
+        io.write_matrix_csv(p_file, probs)
+        io.write_matrix_csv(f_file, BENCH_FILTER)
+        io.write_matrix_csv(s_file, probs > 0)
+        chain, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
+        main(["simulate", str(p_file), "--initial", "1", "--n", "3000", "--seed", "1", "--out", str(chain)])
+        main(["filter", str(chain), str(f_file), "--out", str(y_file)])
+        capsys.readouterr()
+        report = tmp_path / "report.kv"
+        code = main(["estimate", str(y_file), str(f_file), "--support", str(s_file), "--out", str(report)])
+        assert code == EXIT_OK
+        assert "p_11       0               (fixed)" in capsys.readouterr().out
+        entries = io.read_kv_report(report)
+        assert np.isnan(float(entries["estimate.se.1.1"]))
+        assert not any(key.startswith("estimate.ci.") and key.endswith(".1.1") for key in entries)
+        assert np.isfinite(float(entries["estimate.se.1.2"]))
+        for a in range(1, 7):
+            for name in ("v_com", "v_obs"):
+                assert float(entries[f"estimate.{name}.1.{a}"]) == 0.0
+                assert float(entries[f"estimate.{name}.{a}.1"]) == 0.0
+        assert main(["test", str(report), str(p_file)]) == EXIT_OK
+        assert "degrees of freedom   = 5" in capsys.readouterr().out
+
     def test_sem_failure_hints_at_skip_sem(self, tmp_path, capsys):
         # state 1 is only ever seen entering its self-loop tail, so its
         # recorded exits carry no information and the covariance cannot exist
@@ -349,6 +388,22 @@ class TestTestCommand:
         for a in range(2):
             for b in range(2):
                 entries[f"estimate.v_obs.{a + 1}.{b + 1}"] = 1.0  # rank one
+        report = tmp_path / "report.kv"
+        io.write_kv_report(report, entries)
+        null_file = tmp_path / "null.csv"
+        io.write_matrix_csv(null_file, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert main(["test", str(report), str(null_file)]) == EXIT_NUMERICAL
+        assert "positive definite" in capsys.readouterr().err
+
+    def test_negative_variance_is_not_dropped(self, tmp_path, capsys):
+        from markovfilter.cli import EXIT_NUMERICAL
+
+        entries = {"estimate.k": 2}
+        for i, row in enumerate([[0.6, 0.4], [0.3, 0.7]]):
+            for j, p in enumerate(row):
+                entries[f"estimate.theta.{i + 1}.{j + 1}"] = p
+        for a, b, value in ((1, 1, 0.01), (1, 2, 0.0), (2, 1, 0.0), (2, 2, -0.01)):
+            entries[f"estimate.v_obs.{a}.{b}"] = value
         report = tmp_path / "report.kv"
         io.write_kv_report(report, entries)
         null_file = tmp_path / "null.csv"

@@ -128,6 +128,17 @@ class TestCompleteInfo:
             info_copy[sl, sl] = 0.0
         assert np.all(info_copy == 0.0)
 
+    def test_fixed_coordinate_is_left_out_of_its_block(self):
+        # p_11 = 0 with no mass is fixed; p_12 alone carries row 1's curvature
+        counts = np.array([[0.0, 4.0, 6.0], [3.0, 1.0, 1.0], [2.0, 2.0, 1.0]])
+        probs = counts / counts.sum(axis=1, keepdims=True)
+        info = complete_info(CountMatrix(counts), TransitionMatrix.from_probs(probs).theta())
+        c12, c13 = 4.0 / 0.4**2, 6.0 / 0.6**2
+        np.testing.assert_allclose(info[:2, :2], [[0.0, 0.0], [0.0, c12 + c13]])
+        vc = v_com(info)
+        np.testing.assert_allclose(vc[:2, :2], [[0.0, 0.0], [0.0, 1.0 / (c12 + c13)]])
+        np.testing.assert_allclose(vc[2:4, 2:4], np.linalg.inv(info[2:4, 2:4]))
+
     def test_mass_on_zero_probability_raises(self):
         counts = CountMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
         theta = ParamVector(np.array([0.0, 0.5]), StateSpace(2))
