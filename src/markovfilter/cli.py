@@ -159,12 +159,14 @@ def _estimate_report(alpha: float, y, reduction, em_result, sem_result, interval
                 for b in range(d):
                     entries[f"estimate.{name}.{a + 1}.{b + 1}"] = float(mat[a, b])
         entries["estimate.symmetry"] = sem_result.asymmetry
+        entries["estimate.spectral_radius"] = sem_result.spectral_radius
+        entries["estimate.cond"] = sem_result.cond
     return entries
 
 
 def cmd_estimate(args) -> int:
     F = io.read_filter_csv(args.filter)
-    if args.tol <= 0 or args.sem_tol <= 0:
+    if args.tol <= 0:
         raise ValueError("tolerances must be positive")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -185,7 +187,7 @@ def cmd_estimate(args) -> int:
     sem_result = None
     if not args.skip_sem:
         try:
-            sem_result = run_sem(y, F, em_result, sem_tol=args.sem_tol, max_iter=args.max_iter)
+            sem_result = run_sem(y, F, em_result)
         except MarkovFilterError as err:
             print(
                 f"error: {err}\nhint: the estimate itself is fine; rerun with "
@@ -222,7 +224,7 @@ def cmd_estimate(args) -> int:
         if sem_result.asymmetry > 1e-4:
             print(
                 "warning: observed covariance is visibly asymmetric; "
-                "tighten --tol/--sem-tol",
+                "tighten --tol",
                 file=sys.stderr,
             )
     entries = _estimate_report(args.alpha, y, reduction, em_result, sem_result, intervals)
@@ -336,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--states", type=int, default=None, help="number of states (checked against the filter)")
     p.add_argument("--blank-token", default="-")
     p.add_argument("--tol", type=float, default=1e-12, help="EM convergence tolerance")
-    p.add_argument("--sem-tol", type=float, default=1e-6, help="Jacobian ratio tolerance")
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--alpha", type=float, default=0.05, help="level for the intervals")
     p.add_argument("--support", help="CSV 0/1 structural-support mask")

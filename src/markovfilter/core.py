@@ -313,9 +313,10 @@ def transition_counts(x: CompleteChain) -> CountMatrix:
 
 
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
-    """Row-normalize counts; raises when a state gathered no mass."""
+    """Row-normalize counts; raises when a state gathered no mass, judged on
+    the real part so that complex counts normalize too."""
     rowsums = counts.sum(axis=1)
-    empty = np.flatnonzero(rowsums <= 0.0)
+    empty = np.flatnonzero(rowsums.real <= 0.0)
     if empty.size:
         raise ZeroRowTotalError(int(empty[0]) + 1)
     return counts / rowsums[:, None]

@@ -124,8 +124,8 @@ def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
 
 def _masses(seg: ChainSegments, p0: np.ndarray):
     """(powers P0^0 .. P0^nu_max stacked, each gap type's mass: P0^nu[a, b],
-    or the row sum of P0^nu[a] for a trailing gap)."""
-    powers = np.empty((seg.nu_max + 1, seg.k, seg.k))
+    or the row sum of P0^nu[a] for a trailing gap), in the dtype of ``p0``."""
+    powers = np.empty((seg.nu_max + 1, seg.k, seg.k), dtype=p0.dtype)
     powers[0] = np.eye(seg.k)
     for t in range(seg.nu_max):
         np.matmul(powers[t], p0, out=powers[t + 1])
@@ -135,9 +135,11 @@ def _masses(seg: ChainSegments, p0: np.ndarray):
 
 def _gap_counts(seg: ChainSegments, p0: np.ndarray):
     """(expected counts inside all gaps, gap masses) at the unrecorded part
-    ``p0``; raises when a gap has no unrecorded path."""
+    ``p0``; raises when a gap has no unrecorded path. Any dtype of ``p0``
+    works (a complex one gives the complex-step Jacobian in ``sem``); the
+    check reads the real part of the masses."""
     powers, masses = _masses(seg, p0)
-    bad = np.flatnonzero(masses <= 0.0)
+    bad = np.flatnonzero(masses.real <= 0.0)
     if bad.size:
         i = bad[0]
         what, end = ("continuation", "") if seg.trail[i] else ("path", f" to state {seg.b[i] + 1}")
@@ -147,10 +149,10 @@ def _gap_counts(seg: ChainSegments, p0: np.ndarray):
     k, top, trail = seg.k, seg.nu_max, seg.trail
     w = seg.mult / masses
     inner = ~trail
-    weights = np.zeros((top + 1, k, k))
+    weights = np.zeros((top + 1, k, k), dtype=p0.dtype)
     np.add.at(weights, (seg.nu[inner], seg.a[inner], seg.b[inner]), w[inner])
     np.add.at(weights, (seg.nu[trail], seg.a[trail]), w[trail, None])
-    z = np.zeros((top + 1, k, k))
+    z = np.zeros((top + 1, k, k), dtype=p0.dtype)
     for t in range(top - 1, -1, -1):
         np.matmul(z[t + 1], p0.T, out=z[t])
         z[t] += weights[t + 1]
@@ -200,6 +202,12 @@ def _em_map(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):
     log-likelihood at ``probs``)."""
     counts, loglik = _expected_counts(seg, probs, bits)
     return _normalize_rows(counts), loglik
+
+
+def _em_update(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The EM map alone, without the log-likelihood; complex ``probs``
+    give complex next probabilities."""
+    return _normalize_rows(seg.pair_counts + _gap_counts(seg, np.where(bits, 0.0, probs))[0])
 
 
 def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:

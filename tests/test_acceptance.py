@@ -180,7 +180,7 @@ def test_criterion_5_sem_correctness():
     # (c) symmetry of the observed covariance at benchmark tolerances
     Pb, Fb = bench_model()
     yb = apply_filter(simulate_chain(Pb, 1, 1000, seed=2), Fb)
-    semb = run_sem(yb, Fb, run_em(yb, Fb, tol=1e-12), sem_tol=1e-6)
+    semb = run_sem(yb, Fb, run_em(yb, Fb, tol=1e-12))
 
     ok = exact_zero and nontrivial and m1_gap < 1e-4 and v_rel < 0.05 and semb.asymmetry < 1e-4
     report(
@@ -202,7 +202,7 @@ def test_criterion_6_benchmark_replication():
         y = apply_filter(chain, F)
         fracs.append(reduction_fraction(y))
         result = run_em(y, F, tol=1e-12)
-        sem = run_sem(y, F, result, sem_tol=1e-6)
+        sem = run_sem(y, F, result)
         se = np.sqrt(np.diag(sem.v_obs))
         if np.all(np.abs(result.theta_hat.theta - theta_true) <= 3 * se):
             seeds_ok += 1
@@ -290,7 +290,7 @@ def test_criterion_8_test_calibration():
         chain = simulate_chain(P, 1, 1000, seed=seed)
         y = apply_filter(chain, F)
         result = run_em(y, F, tol=1e-12)
-        sem = run_sem(y, F, result, sem_tol=1e-6)
+        sem = run_sem(y, F, result)
         rep = chi_square_test(result.theta_hat.theta, theta_true, sem.v_obs, alphas=(0.05,))
         if rep.reject_at[0.05]:
             rejections += 1

@@ -11,6 +11,7 @@ from markovfilter import (
     confidence_interval,
     z_test,
 )
+from markovfilter.inference import chi_square_sf
 
 
 class TestChiSquare:
@@ -51,6 +52,23 @@ class TestChiSquare:
             diff = rng.normal(size=d)
             rep = chi_square_test(diff, np.zeros(d), np.eye(d))
             assert rep.p_value == pytest.approx(chi2.sf(rep.statistic, d), abs=1e-8)
+
+
+class TestChiSquareTail:
+    def test_matches_scipy_for_every_df_and_far_into_the_tail(self):
+        from scipy.special import chdtrc
+
+        xs = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(0.01, 60.0, 120), np.geomspace(60.0, 2000.0, 80)])
+        for df in range(1, 241):
+            got = [chi_square_sf(df, float(x)) for x in xs]
+            np.testing.assert_allclose(got, chdtrc(df, xs), rtol=1e-12, atol=1e-300)
+
+    def test_zero_statistic_has_p_value_one(self):
+        assert all(chi_square_sf(df, 0.0) == 1.0 for df in range(1, 241))
+
+    def test_far_tail_stays_positive_where_it_is_representable(self):
+        # e^-600 is about 2.7e-261: still a normal float, and not rounded to 0
+        assert 0.0 < chi_square_sf(2, 1200.0) == pytest.approx(np.exp(-600.0), rel=1e-13)
 
 
 class TestZTest:

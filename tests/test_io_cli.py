@@ -4,7 +4,16 @@ files."""
 import numpy as np
 import pytest
 
-from markovfilter import FileFormatError, FilterMatrix, StateSpace, FilteredChain, io
+from markovfilter import (
+    FileFormatError,
+    FilterMatrix,
+    StateSpace,
+    FilteredChain,
+    e_step,
+    io,
+    m_step,
+    run_em,
+)
 from markovfilter.cli import (
     EXIT_CONSISTENCY,
     EXIT_OK,
@@ -272,7 +281,6 @@ class TestEstimateCommand:
         "option, message",
         [
             (["--tol", "0"], "tolerances must be positive"),
-            (["--sem-tol=-1e-6"], "tolerances must be positive"),
             (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1"),
         ],
     )
@@ -306,6 +314,61 @@ class TestEstimateCommand:
                 assert float(entries[f"estimate.{name}.{a}.1"]) == 0.0
         assert main(["test", str(report), str(p_file)]) == EXIT_OK
         assert "degrees of freedom   = 5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_fast_converging_fit_gets_the_exact_jacobian(self, tmp_path, capsys, seed):
+        # EM converges here within a few dozen steps, so forced SEM iterations
+        # froze rows of M1 on rounding noise (an eigenvalue of 1.67 and a
+        # V_obs that was not positive definite); the complex step is exact
+        probs = np.array([[0.0, 0.375, 0.625], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
+        p_file, f_file, s_file = tmp_path / "p.csv", tmp_path / "f.csv", tmp_path / "s.csv"
+        io.write_matrix_csv(p_file, probs)
+        io.write_matrix_csv(f_file, BENCH_FILTER)
+        io.write_matrix_csv(s_file, probs > 0)
+        chain, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
+        main(["simulate", str(p_file), "--initial", "1", "--n", "3000", "--seed", str(seed), "--out", str(chain)])
+        main(["filter", str(chain), str(f_file), "--out", str(y_file)])
+        report = tmp_path / "report.kv"
+        code = main(["estimate", str(y_file), str(f_file), "--support", str(s_file), "--out", str(report)])
+        assert code == EXIT_OK
+        entries = io.read_kv_report(report)
+
+        def matrix(name):
+            return np.array([[float(entries[f"estimate.{name}.{a}.{b}"]) for b in range(1, 7)] for a in range(1, 7)])
+
+        v, m1 = matrix("v_obs"), matrix("m1")
+        free = np.diag(v) != 0.0  # p_11 is fixed at zero
+        assert free.sum() == 5
+        assert np.all(np.linalg.eigvalsh(v[np.ix_(free, free)]) > 0.0)
+        assert float(entries["estimate.symmetry"]) < 1e-12
+
+        F = FilterMatrix(BENCH_FILTER)
+        y = io.read_filtered_chain(y_file, 3)
+        theta = run_em(y, F, support=probs > 0).theta_hat.theta
+
+        def em_map(t):
+            return m_step(e_step(y, t, F)).theta
+
+        h, p31 = 1e-6, 4
+        up, down = theta.copy(), theta.copy()
+        up[p31] += h
+        down[p31] -= h
+        np.testing.assert_allclose(m1[p31], (em_map(up) - em_map(down)) / (2 * h), rtol=0, atol=1e-6)
+        assert main(["test", str(report), str(p_file)]) == EXIT_OK
+
+    def test_report_carries_the_convergence_rate_and_conditioning(self, tmp_path, bench_files):
+        p_file, f_file = bench_files
+        chain_file, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
+        main(["simulate", p_file, "--initial", "1", "--n", "500", "--seed", "3", "--out", str(chain_file)])
+        main(["filter", str(chain_file), f_file, "--out", str(y_file)])
+        report = tmp_path / "report.kv"
+        assert main(["estimate", str(y_file), f_file, "--out", str(report)]) == EXIT_OK
+        entries = io.read_kv_report(report)
+        m1 = np.array([[float(entries[f"estimate.m1.{a}.{b}"]) for b in range(1, 7)] for a in range(1, 7)])
+        radius = float(entries["estimate.spectral_radius"])
+        assert 0.0 < radius < 1.0
+        assert radius == pytest.approx(np.max(np.abs(np.linalg.eigvals(m1))), rel=1e-9)
+        assert float(entries["estimate.cond"]) == pytest.approx(np.linalg.cond(np.eye(6) - m1), rel=1e-9)
 
     def test_sem_failure_hints_at_skip_sem(self, tmp_path, capsys):
         # state 1 is only ever seen entering its self-loop tail, so its

@@ -1,10 +1,10 @@
 """Property-based checks of the E-step, the observed log-likelihood and the
-consistency check against the enumeration oracles, on random parameters,
-filters, supports and chains."""
+consistency check against the enumeration oracles, and of the EM fit and its
+Jacobian, on random parameters, filters, supports and chains."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markovfilter import (
@@ -14,12 +14,22 @@ from markovfilter import (
     FilterMatrix,
     StateSpace,
     TransitionMatrix,
+    Verdict,
     apply_filter,
+    complete_info,
+    default_sem_start,
     e_step,
+    em_jacobian,
     enumerate_completions,
+    identifiability_verdict,
+    m_step,
     observed_loglik,
     oracle_expected_counts,
     oracle_observed_likelihood,
+    run_em,
+    sem_m1,
+    simulate_chain,
+    v_com,
     validate_consistency,
 )
 
@@ -111,3 +121,76 @@ def test_validation_accepts_exactly_the_completable_patterns(case):
     else:
         assert expected is None
         assert len(enumerate_completions(y, F, P)) > 0
+
+
+#: Two-state filters that record one self-loop and hide the other three
+#: transitions: every coordinate loses information and EM converges at a
+#: moderate rate, where the forced iteration is well posed.
+ONE_SELF_LOOP = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
+
+
+@st.composite
+def fitted_cases(draw, filters=None):
+    """(y, F, fit): an interior transition matrix on k in {2, 3} states, a
+    filter with a sufficient identifiability witness (or one of
+    ``filters``, all of the same k), and the EM fit to the filtered image of
+    a simulated chain of 200 to 800 transitions (at most 3000 EM steps)."""
+    if filters is None:
+        k = draw(st.integers(2, 3))
+        bits = np.reshape(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)), (k, k))
+    else:
+        bits = np.array(draw(st.sampled_from(filters)), dtype=bool)
+        k = len(bits)
+    F = FilterMatrix(bits)
+    assume(identifiability_verdict(F).verdict is Verdict.SUFFICIENT_IDENTIFIABLE)
+    weights = np.reshape(draw(st.lists(st.floats(0.1, 1.0), min_size=k * k, max_size=k * k)), (k, k))
+    P = TransitionMatrix.from_probs(weights / weights.sum(axis=1, keepdims=True))
+    y = apply_filter(simulate_chain(P, 1, draw(st.integers(200, 800)), draw(st.integers(0, 2**16))), F)
+    return y, F, run_em(y, F, max_iter=3000)
+
+
+def interior(fit) -> bool:
+    return fit.converged and fit.probs.min() > 1e-3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fitted_cases())
+def test_complex_step_jacobian_matches_central_differences(case):
+    y, F, fit = case
+    assume(interior(fit))
+    theta = fit.theta_hat.theta
+
+    def em_map(t):
+        return m_step(e_step(y, t, F)).theta
+
+    h = 1e-6
+    fd = np.array([(em_map(theta + h * e) - em_map(theta - h * e)) / (2 * h) for e in np.eye(theta.size)])
+    np.testing.assert_allclose(em_jacobian(y, F, theta), fd, rtol=0, atol=1e-7)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fitted_cases(ONE_SELF_LOOP))
+def test_complex_step_jacobian_matches_forced_iterations(case):
+    # The forced iteration is only as good as its perturbations. Where EM
+    # converges fast, or a coordinate carries almost no missing information
+    # of its own (M1[i, i] near 0), they reach rounding size before the
+    # ratios settle and the row freezes on noise; at a rate near 1 the
+    # 1e-6 ratio tolerance leaves errors of 1e-6 / (1 - rate). Those cases
+    # are left out, as are three-state filters: there, even at moderate
+    # rates, the forced ratios often stop while the perturbation is still
+    # large enough to leave an error above 1e-4.
+    y, F, fit = case
+    assume(interior(fit))
+    m1 = em_jacobian(y, F, fit.theta_hat)
+    assume(0.3 <= np.max(np.abs(np.linalg.eigvals(m1))) <= 0.95 and np.diag(m1).min() >= 0.05)
+    start = default_sem_start(fit.theta_hat, v_com(complete_info(fit.expected_counts, fit.theta_hat)), y.space.k)
+    forced, _ = sem_m1(y, F, fit.theta_hat, start)
+    np.testing.assert_allclose(m1, forced, rtol=0, atol=1e-4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fitted_cases())
+def test_em_log_likelihood_never_decreases(case):
+    _, _, fit = case
+    trace = np.array(fit.loglik_trace)
+    assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[1:]))

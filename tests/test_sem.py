@@ -273,7 +273,7 @@ class TestDiagnostics:
         chain = simulate_chain(P, 1, 1000, seed=2)
         y = apply_filter(chain, F)
         result = run_em(y, F, tol=1e-12)
-        sem = run_sem(y, F, result, sem_tol=1e-6)
+        sem = run_sem(y, F, result)
         assert sem.asymmetry < 1e-4
 
 
