@@ -6,6 +6,9 @@ transitions are only allowed when the tuples overlap, so the embedded
 transition matrix has exactly k**(s+1) allowed entries. Estimation then
 works as before, with the support mask carried through; the filter must
 record at least one allowed transition per row to stay identifiable.
+Standard errors come from supplemented EM on the free coordinates: each
+tuple row here has two allowed successors, p and 1 - p, so both share one
+standard error.
 """
 
 import numpy as np
@@ -17,8 +20,10 @@ from markovfilter import (
     apply_filter,
     embed_higher_order,
     embedded_support,
+    encode_tuple_state,
     project_embedded_params,
     run_em,
+    run_sem,
     TransitionMatrix,
 )
 
@@ -56,9 +61,14 @@ print(f"\nEM converged after {result.iterations} iterations")
 proj = project_embedded_params(
     TransitionMatrix.from_probs(result.probs, mask), s
 )
-print("estimated order-2 transition probabilities (history -> next):")
+sem = run_sem(y, F, result)
+# the free-parameter layout omits each row's last column; a row's allowed
+# entries share one standard error, and its other entries have none
+row_se = np.sqrt(np.diag(sem.v_obs)).reshape(K, K - 1).max(axis=1)
+print("estimated order-2 transition probabilities (history -> next, std. err.):")
 for key in sorted(proj):
     history, nxt = key[:s], key[s]
-    print(f"  {history} -> {nxt}: {proj[key]:.4f}")
+    se = row_se[encode_tuple_state(history, k) - 1]
+    print(f"  {history} -> {nxt}: {proj[key]:.4f}  ({se:.4f})")
 print("\n(the data were generated with repeat-the-older-state probabilities "
       "0.8 after a 1 and 0.3 after a 2)")

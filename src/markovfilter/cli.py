@@ -20,6 +20,7 @@ from . import io
 from .core import (
     embed_higher_order,
     embedded_support,
+    free_coordinates,
     probs_to_theta,
     simulate_chain,
     transition_counts,
@@ -111,16 +112,17 @@ def cmd_check_filter(args) -> int:
 
 
 def _intervals(em_result, sem_result, alpha: float) -> list:
-    """Per free parameter (i, j, estimate, standard error, (lo, hi)); the
-    error and the interval are None where the observed variance is not
-    positive."""
-    theta = em_result.theta_hat.theta
-    k = em_result.theta_hat.k
-    diag = np.diag(sem_result.v_obs)
+    """Per parameter in the free-parameter layout (i, j, estimate, standard
+    error, (lo, hi)); the error and the interval are None for a coordinate
+    the estimate's support fixes."""
+    probs = em_result.probs
+    theta = probs_to_theta(probs)
+    k = probs.shape[0]
+    estimated = free_coordinates(probs)[1].any(axis=1)
     rows = []
-    for idx, var in enumerate(diag):
+    for idx, var in enumerate(np.diag(sem_result.v_obs)):
         i, j = idx // (k - 1) + 1, idx % (k - 1) + 1
-        if var > 0:
+        if estimated[idx]:
             ci = confidence_interval(theta[idx], var, alpha)
             rows.append((i, j, theta[idx], float(np.sqrt(var)), ci))
         else:
@@ -263,11 +265,7 @@ def cmd_test(args) -> int:
         raise FileFormatError(args.null, f"expected a {k}x{k} matrix")
     theta_hat = probs_to_theta(probs_hat)
     theta0 = probs_to_theta(P0.probs)
-    diag = np.diag(v)
-    # a fixed coordinate has zero variance and no degree of freedom; a
-    # negative variance stays in and fails the test
-    free = diag != 0
-
+    free, lift = free_coordinates(probs_hat)
     overall = chi_square_test(
         theta_hat[free], theta0[free], v[np.ix_(free, free)], alphas=(args.alpha,)
     )
@@ -277,12 +275,12 @@ def cmd_test(args) -> int:
     decision = "reject" if overall.reject_at[args.alpha] else "fail to reject"
     print(f"decision at alpha={_fmt(args.alpha)}: {decision}")
     print("per-parameter z tests:")
-    for idx in range(d):
+    for idx, estimated in enumerate(lift.any(axis=1)):
         i, j = idx // (k - 1) + 1, idx % (k - 1) + 1
-        if diag[idx] <= 0:
-            print(f"  p_{i}{j}: variance not positive, skipped")
+        if not estimated:
+            print(f"  p_{i}{j}: fixed, skipped")
             continue
-        rep = z_test(theta_hat[idx], theta0[idx], diag[idx], alphas=(args.alpha,))
+        rep = z_test(theta_hat[idx], theta0[idx], v[idx, idx], alphas=(args.alpha,))
         flag = " (reject)" if rep.reject_at[args.alpha] else ""
         print(f"  p_{i}{j}: z = {_fmt(rep.statistic)}, p = {_fmt(rep.p_value)}{flag}")
     return EXIT_OK

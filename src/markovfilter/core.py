@@ -199,6 +199,38 @@ def probs_to_theta(probs: np.ndarray) -> np.ndarray:
     return probs[:, :-1].reshape(-1).copy()
 
 
+def free_coordinates(probs) -> tuple:
+    """The coordinates an estimate leaves free, decided from its support:
+    the positive entries of ``probs``, where the last column counts only
+    above ``ROW_SUM_TOL`` (computed as p_ik = 1 - sum of the row's stored
+    entries, it keeps rounding of about 1e-16 where it is zero). Each row's
+    reference column r_i is its last positive entry, and p_ir = 1 - (sum of
+    the row's other entries); the row's other positive entries are free. A
+    zero entry is fixed, and so is the reference of a row with one positive
+    entry.
+
+    Returns (free, lift). ``free`` holds the free coordinates' indices in
+    the free-parameter layout (row-major, last column omitted); a
+    reference column never lies before a free one, so every free
+    coordinate has an index there. Column a of the d x m matrix ``lift``
+    is the change of that layout along free coordinate a, e_ij - e_ir:
+    a covariance V on the free coordinates is lift V lift^T in the layout,
+    with zero rows for fixed entries."""
+    probs = np.asarray(probs)
+    pos = probs > 0.0
+    pos[:, -1] = probs[:, -1] > ROW_SUM_TOL
+    k = pos.shape[0]
+    ref = k - 1 - np.argmax(pos[:, ::-1], axis=1)
+    pos[np.arange(k), ref] = False
+    free = np.flatnonzero(pos[:, :-1])
+    rows = free // (k - 1)
+    lift = np.zeros((k * (k - 1), free.size))
+    lift[free, np.arange(free.size)] = 1.0
+    inside = ref[rows] < k - 1  # the last column is outside the layout
+    lift[(rows * (k - 1) + ref[rows])[inside], np.flatnonzero(inside)] = -1.0
+    return free, lift
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Free transition parameters: d = k^2 - k reals, row-major with each

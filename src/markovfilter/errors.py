@@ -42,10 +42,6 @@ class NonFiniteError(MarkovFilterError):
     """The observed log-likelihood degenerated to a non-finite value."""
 
 
-class SingularBlockError(MarkovFilterError):
-    """A block of the complete-data information matrix is singular."""
-
-
 class RowNotConvergedError(MarkovFilterError):
     """Some forced-iteration rows of the EM-map Jacobian did not converge."""
 
@@ -62,7 +58,8 @@ class SingularUpdateError(MarkovFilterError):
 
 
 class SingularCovarianceError(MarkovFilterError):
-    """The covariance matrix of a test statistic is not positive definite."""
+    """A covariance matrix is not positive definite: that of a test
+    statistic, or V_obs at an estimate that is not a local maximum."""
 
 
 class NonPositiveVarianceError(MarkovFilterError):

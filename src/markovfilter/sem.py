@@ -7,13 +7,21 @@ V_obs = V_com (I - M1)^(-1), where V_com inverts the conditional expected
 complete-data information, and the variance inflation due to missingness is
 dV = V_com M1 (I - M1)^(-1).
 
-M is analytic in the parameters (matrix powers, ratios and a row
-normalization), so ``run_sem`` takes M1 by complex step (Squire & Trapp
-1998): row i is Im M(theta_hat + i h e_i) / h, exact to machine precision at
-the cost of one complex E-step per free coordinate. Meng & Rubin's (1991)
-forced iteration, which perturbs one coordinate at a time along the EM
-sequence and takes the limit of difference ratios, stays as ``sem_m1`` for
-the paper-faithful cross-check.
+All three are taken on the free coordinates of the estimate
+(``core.free_coordinates``): each row's positive entries except the last
+one, the reference column r_i, which takes up p_ir = 1 - (sum of the
+rest). V_com then has a closed form: block i is (diag(p_i) - p_i p_i^T) /
+N_i over the row's free entries, the inverse information of a multinomial
+with N_i the row total of the expected counts. M is analytic in the
+parameters (matrix powers, ratios and a row normalization), so
+``em_jacobian`` takes M1 by complex step (Squire & Trapp 1998) along
+e_ij - e_ir: exact to machine precision at the cost of one complex E-step
+per free coordinate. The results are reported in the free-parameter layout
+(row-major, last column omitted), where a fixed entry has zero rows and
+columns and a reference entry inside the layout the covariances implied by
+its row. Meng & Rubin's (1991) forced iteration, which perturbs one
+coordinate at a time along the EM sequence and takes the limit of
+difference ratios, stays as ``sem_m1`` for the paper-faithful cross-check.
 """
 
 from __future__ import annotations
@@ -22,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountMatrix, probs_to_theta, theta_to_probs
+from .core import free_coordinates, probs_to_theta, theta_to_probs
 from .em import EMResult, _as_probs, _as_theta, _em_update
 from .errors import (
     RowNotConvergedError,
-    SingularBlockError,
+    SingularCovarianceError,
     SingularUpdateError,
 )
 from .filtering import FilteredChain, FilterMatrix
@@ -38,9 +46,10 @@ class SemResult:
 
     ``v_obs`` is symmetrized; ``asymmetry`` records the max entrywise
     difference between the raw matrix and its transpose before
-    symmetrization (a numerical-quality diagnostic). ``spectral_radius`` is
-    that of M1, the rate at which EM converged; ``cond`` is the condition
-    number of I - M1."""
+    symmetrization (a numerical-quality diagnostic). The matrices are in the
+    free-parameter layout. ``spectral_radius`` is that of M1, the rate at
+    which EM converged; ``cond`` is the condition number of I - M1 on the
+    free coordinates."""
 
     m1: np.ndarray
     v_com: np.ndarray
@@ -49,76 +58,6 @@ class SemResult:
     asymmetry: float
     spectral_radius: float
     cond: float
-
-
-def _block_size(d: int) -> int:
-    k = round((1 + np.sqrt(1 + 4 * d)) / 2)
-    if k * (k - 1) != d:
-        raise ValueError(f"{d} is not of the form k^2 - k")
-    return k
-
-
-def complete_info(E, theta) -> np.ndarray:
-    """Conditional expected complete-data information at ``theta``.
-
-    Block-diagonal with one (k-1) x (k-1) block per source state: block i
-    has off-diagonal entries E[i,k]/p_ik^2 and adds E[i,j]/p_ij^2 on the
-    diagonal. A coordinate fixed at zero (p = 0 with no expected mass) is not
-    estimated: its row and column are zero. Positive mass on a zero
-    probability is an error.
-    """
-    counts = E.counts if isinstance(E, CountMatrix) else np.asarray(E, dtype=float)
-    k = counts.shape[0]
-    probs = _as_probs(theta, k)
-    d = k * (k - 1)
-    info = np.zeros((d, d))
-
-    def curvature(n, p, where):
-        if p <= 0.0:
-            if n > 0.0:
-                raise SingularBlockError(
-                    f"expected count {n:g} on zero probability at {where}"
-                )
-            return 0.0
-        return n / p**2
-
-    for i in range(k):
-        c_last = curvature(counts[i, k - 1], probs[i, k - 1], f"({i + 1},{k})")
-        block = np.full((k - 1, k - 1), c_last)
-        for j in range(k - 1):
-            block[j, j] += curvature(counts[i, j], probs[i, j], f"({i + 1},{j + 1})")
-        fixed = probs[i, : k - 1] <= 0.0
-        block[fixed, :] = 0.0
-        block[:, fixed] = 0.0
-        sl = slice(i * (k - 1), (i + 1) * (k - 1))
-        info[sl, sl] = block
-    return info
-
-
-def v_com(i_com: np.ndarray) -> np.ndarray:
-    """Blockwise inverse of the complete-data information. A fixed
-    coordinate's zero row and column stay zero; the rest of each block must
-    be symmetric positive definite, and a block with no nonzero entry is
-    singular."""
-    i_com = np.asarray(i_com, dtype=float)
-    d = i_com.shape[0]
-    k = _block_size(d)
-    out = np.zeros_like(i_com)
-    for i in range(k):
-        sl = slice(i * (k - 1), (i + 1) * (k - 1))
-        free = np.flatnonzero(i_com[sl, sl].any(axis=1))
-        sub = np.ix_(free, free)
-        block = i_com[sl, sl][sub]
-        try:
-            if not free.size:
-                raise np.linalg.LinAlgError("no coordinate carries information")
-            np.linalg.cholesky(block)
-            out[sl, sl][sub] = np.linalg.inv(block)
-        except np.linalg.LinAlgError as err:
-            raise SingularBlockError(
-                f"information block {i + 1} is not positive definite"
-            ) from err
-    return out
 
 
 #: Complex step h: far below any rounding of the real part, while h times
@@ -132,23 +71,22 @@ M1_FLOOR = 64 * np.finfo(float).eps
 
 
 def em_jacobian(y: FilteredChain, F: FilterMatrix, theta_hat) -> np.ndarray:
-    """Jacobian M1 of the EM map at ``theta_hat`` by complex step.
+    """Jacobian M1 of the EM map at ``theta_hat`` by complex step, in the
+    free-parameter layout.
 
-    Row i is Im M(theta_hat + i h e_i) / h with h = ``STEP``: one complex
-    E-step and M-step per free coordinate, with no subtractive cancellation,
-    so M1 is exact to machine precision. Raising p_ij by i h lowers the
-    row's omitted last entry by as much. A coordinate at zero gets a zero
-    row, and entries below ``M1_FLOOR`` are set to zero."""
+    The row of a free coordinate p_ij is Im M(P + i h (e_ij - e_ir)) / h,
+    with h = ``STEP`` and r the row's reference column: one complex E-step
+    and M-step per free coordinate, with no subtractive cancellation, so M1
+    is exact to machine precision. A fixed coordinate gets a zero row, and
+    entries below ``M1_FLOOR`` are set to zero."""
     k = y.space.k
-    theta_hat = _as_theta(theta_hat)
-    probs = theta_to_probs(theta_hat, k).astype(complex)  # checks the length
-    m1 = np.zeros((theta_hat.size, theta_hat.size))
-    for i in np.flatnonzero(theta_hat):
-        row, col = divmod(i, k - 1)
-        step = probs.copy()
-        step[row, col] += STEP * 1j
-        step[row, k - 1] -= STEP * 1j
-        m1[i] = probs_to_theta(_em_update(y.segments, step, F.bits).imag) / STEP
+    probs = _as_probs(theta_hat, k)
+    free, lift = free_coordinates(probs)
+    m1 = np.zeros((k * (k - 1), k * (k - 1)))
+    for t, change in zip(free, lift.T):
+        change = change.reshape(k, k - 1)
+        step = np.hstack([change, -change.sum(axis=1, keepdims=True)]) * (STEP * 1j)
+        m1[t] = probs_to_theta(_em_update(y.segments, probs + step, F.bits).imag) / STEP
     m1[np.abs(m1) < M1_FLOOR] = 0.0
     return m1
 
@@ -237,7 +175,7 @@ def _inverse_update(m1: np.ndarray):
     surfaces here as a singular update rather than silent garbage.
     """
     eye_minus = np.eye(m1.shape[0]) - m1
-    cond = float(np.linalg.cond(eye_minus))
+    cond = float(np.linalg.cond(eye_minus)) if m1.size else 1.0
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularUpdateError(
             "I - M1 is numerically singular: a direction of the parameter "
@@ -262,7 +200,7 @@ def v_obs(v_com_mat: np.ndarray, m1: np.ndarray):
 def symmetry_diagnostic(v: np.ndarray) -> float:
     """Max entrywise |v - v^T|; the result should be tiny for a healthy run."""
     v = np.asarray(v, dtype=float)
-    return float(np.max(np.abs(v - v.T)))
+    return float(np.max(np.abs(v - v.T), initial=0.0))
 
 
 def default_sem_start(theta_hat, v_com_mat: np.ndarray, k: int) -> np.ndarray:
@@ -284,21 +222,47 @@ def default_sem_start(theta_hat, v_com_mat: np.ndarray, k: int) -> np.ndarray:
 
 
 def run_sem(y: FilteredChain, F: FilterMatrix, em_result: EMResult) -> SemResult:
-    """Full covariance pipeline at the EM estimate: complete-data information
-    from the final expected counts, the complex-step Jacobian, and the
-    observed covariance with its diagnostics."""
-    theta_hat = em_result.theta_hat
-    vc = v_com(complete_info(em_result.expected_counts, theta_hat))
-    m1 = em_jacobian(y, F, theta_hat)
-    inv, cond = _inverse_update(m1)
+    """Full covariance pipeline at the EM estimate, on its free coordinates:
+    the closed-form V_com from the final expected counts, the complex-step
+    Jacobian, and the observed covariance with its diagnostics, each mapped
+    back to the free-parameter layout.
+
+    Raises ``SingularUpdateError`` when I - M1 is numerically singular, and
+    ``SingularCovarianceError`` when the estimate is not a local maximum of
+    the observed likelihood (EM stopped at a saddle point): M1 has spectral
+    radius at least 1, or V_obs is not positive definite."""
+    probs = em_result.probs
+    k = probs.shape[0]
+    free, lift = free_coordinates(probs)
+    rows = free // (k - 1)
+    p = probs_to_theta(probs)[free]
+    totals = em_result.expected_counts.counts.sum(axis=1)[rows]
+    vc = np.where(rows[:, None] == rows, np.diag(p) - np.outer(p, p), 0.0) / totals[:, None]
+    m1 = em_jacobian(y, F, em_result.theta_hat)
+    m1_free = m1[np.ix_(free, free)]
+    inv, cond = _inverse_update(m1_free)
     raw_v = vc @ inv
     v_sym = 0.5 * (raw_v + raw_v.T)
+    radius = float(np.max(np.abs(np.linalg.eigvals(m1_free)), initial=0.0))
+    try:
+        if radius >= 1.0:
+            raise np.linalg.LinAlgError(f"M1 has spectral radius {radius:.6g} >= 1")
+        np.linalg.cholesky(v_sym)
+    except np.linalg.LinAlgError as err:
+        raise SingularCovarianceError(
+            f"the estimate is not a local maximum of the observed likelihood ({err}): "
+            "EM may have stopped at a saddle point; start it from another point"
+        ) from err
+
+    def lifted(v):
+        return lift @ v @ lift.T
+
     return SemResult(
         m1=m1,
-        v_com=vc,
-        v_obs=v_sym,
-        delta_v=v_sym - vc,
+        v_com=lifted(vc),
+        v_obs=lifted(v_sym),
+        delta_v=lifted(v_sym - vc),
         asymmetry=symmetry_diagnostic(raw_v),
-        spectral_radius=float(np.max(np.abs(np.linalg.eigvals(m1)))),
+        spectral_radius=radius,
         cond=cond,
     )

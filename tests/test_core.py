@@ -16,6 +16,7 @@ from markovfilter import (
     embed_higher_order,
     embedded_support,
     encode_tuple_state,
+    free_coordinates,
     project_embedded_params,
     simulate_chain,
     transition_counts,
@@ -216,6 +217,27 @@ class TestCompleteMle:
         counts = rng.integers(1, 30, (4, 4)).astype(float)
         P = complete_mle(CountMatrix(counts))
         np.testing.assert_allclose(P.probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestFreeCoordinates:
+    def test_reference_is_the_last_positive_entry(self):
+        # row 1 (.4, .6, 0): reference p_12 inside the layout; row 2
+        # (0, .5, .5): reference p_23, p_21 fixed; row 3 (1, 0, 0): nothing free
+        probs = np.array([[0.4, 0.6, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+        free, lift = free_coordinates(probs)
+        np.testing.assert_array_equal(free, [0, 3])
+        expected = np.zeros((6, 2))
+        expected[[0, 1], 0] = 1.0, -1.0
+        expected[3, 1] = 1.0
+        np.testing.assert_array_equal(lift, expected)
+
+    def test_rounding_in_the_last_column_is_zero(self):
+        # 1 - (1/6 + 4/6 + 1/6) is 1.1e-16 in floating point
+        theta = np.r_[[1 / 6, 4 / 6, 1 / 6], np.full(9, 0.25)]
+        probs = ParamVector(theta, StateSpace(4)).to_probs()
+        assert probs[0, 3] > 0.0
+        free, _ = free_coordinates(probs)
+        np.testing.assert_array_equal(free, [0, 1, *range(3, 12)])
 
 
 class TestEmbedding:

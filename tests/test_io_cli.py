@@ -29,6 +29,23 @@ def write(path, text):
     return str(path)
 
 
+def estimate_on_support(tmp_path, capsys, probs, seed, n=3000, filter_bits=BENCH_FILTER):
+    """(exit code, report, matrix file) of ``estimate --support`` on a chain
+    of ``n`` transitions simulated from ``probs`` with ``seed``, filtered by
+    ``filter_bits``; the support is where ``probs`` is positive."""
+    p_file, f_file, s_file = tmp_path / "p.csv", tmp_path / "f.csv", tmp_path / "s.csv"
+    io.write_matrix_csv(p_file, probs)
+    io.write_matrix_csv(f_file, filter_bits)
+    io.write_matrix_csv(s_file, probs > 0)
+    chain, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
+    main(["simulate", str(p_file), "--initial", "1", "--n", str(n), "--seed", str(seed), "--out", str(chain)])
+    main(["filter", str(chain), str(f_file), "--out", str(y_file)])
+    capsys.readouterr()
+    report = tmp_path / "report.kv"
+    code = main(["estimate", str(y_file), str(f_file), "--support", str(s_file), "--out", str(report)])
+    return code, report, p_file
+
+
 @pytest.fixture
 def bench_files(tmp_path):
     p_file = tmp_path / "probs.csv"
@@ -292,16 +309,7 @@ class TestEstimateCommand:
 
     def test_structural_zero_gets_no_variance(self, tmp_path, capsys):
         probs = np.array([[0.0, 0.375, 0.625], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
-        p_file, f_file, s_file = tmp_path / "p.csv", tmp_path / "f.csv", tmp_path / "s.csv"
-        io.write_matrix_csv(p_file, probs)
-        io.write_matrix_csv(f_file, BENCH_FILTER)
-        io.write_matrix_csv(s_file, probs > 0)
-        chain, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
-        main(["simulate", str(p_file), "--initial", "1", "--n", "3000", "--seed", "1", "--out", str(chain)])
-        main(["filter", str(chain), str(f_file), "--out", str(y_file)])
-        capsys.readouterr()
-        report = tmp_path / "report.kv"
-        code = main(["estimate", str(y_file), str(f_file), "--support", str(s_file), "--out", str(report)])
+        code, report, p_file = estimate_on_support(tmp_path, capsys, probs, seed=1)
         assert code == EXIT_OK
         assert "p_11       0               (fixed)" in capsys.readouterr().out
         entries = io.read_kv_report(report)
@@ -321,15 +329,7 @@ class TestEstimateCommand:
         # froze rows of M1 on rounding noise (an eigenvalue of 1.67 and a
         # V_obs that was not positive definite); the complex step is exact
         probs = np.array([[0.0, 0.375, 0.625], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
-        p_file, f_file, s_file = tmp_path / "p.csv", tmp_path / "f.csv", tmp_path / "s.csv"
-        io.write_matrix_csv(p_file, probs)
-        io.write_matrix_csv(f_file, BENCH_FILTER)
-        io.write_matrix_csv(s_file, probs > 0)
-        chain, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
-        main(["simulate", str(p_file), "--initial", "1", "--n", "3000", "--seed", str(seed), "--out", str(chain)])
-        main(["filter", str(chain), str(f_file), "--out", str(y_file)])
-        report = tmp_path / "report.kv"
-        code = main(["estimate", str(y_file), str(f_file), "--support", str(s_file), "--out", str(report)])
+        code, report, p_file = estimate_on_support(tmp_path, capsys, probs, seed)
         assert code == EXIT_OK
         entries = io.read_kv_report(report)
 
@@ -343,7 +343,7 @@ class TestEstimateCommand:
         assert float(entries["estimate.symmetry"]) < 1e-12
 
         F = FilterMatrix(BENCH_FILTER)
-        y = io.read_filtered_chain(y_file, 3)
+        y = io.read_filtered_chain(tmp_path / "y.txt", 3)
         theta = run_em(y, F, support=probs > 0).theta_hat.theta
 
         def em_map(t):
@@ -355,6 +355,32 @@ class TestEstimateCommand:
         down[p31] -= h
         np.testing.assert_allclose(m1[p31], (em_map(up) - em_map(down)) / (2 * h), rtol=0, atol=1e-6)
         assert main(["test", str(report), str(p_file)]) == EXIT_OK
+
+    def test_zero_in_the_last_column_ties_the_row(self, tmp_path, capsys):
+        # row 1 = (p_11, 1 - p_11, 0): its reference column is 2, so p_11 and
+        # p_12 share one variance and are perfectly anticorrelated
+        probs = np.array([[0.4, 0.6, 0.0], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
+        code, report, p_file = estimate_on_support(tmp_path, capsys, probs, seed=1)
+        assert code == EXIT_OK
+        entries = io.read_kv_report(report)
+        se_11, se_12 = float(entries["estimate.se.1.1"]), float(entries["estimate.se.1.2"])
+        assert np.isfinite(se_11) and se_12 == pytest.approx(se_11, rel=1e-9)
+        var = float(entries["estimate.v_obs.1.1"])
+        assert float(entries["estimate.v_obs.1.2"]) == pytest.approx(-var, rel=1e-9)
+        assert main(["test", str(report), str(p_file)]) == EXIT_OK
+        assert "degrees of freedom   = 5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [10, 19, 36, 38])
+    def test_saddle_point_exits_numerical(self, tmp_path, capsys, seed):
+        # from the uniform start EM stops at p_11 = p_22, where M1 has an
+        # eigenvalue above 1 and V_obs a negative one
+        from markovfilter.cli import EXIT_NUMERICAL
+
+        probs = np.array([[0.7, 0.3], [0.4, 0.6]])
+        F = np.array([[0, 0], [1, 0]])  # records only 2 -> 1
+        code, _, _ = estimate_on_support(tmp_path, capsys, probs, seed, n=500, filter_bits=F)
+        assert code == EXIT_NUMERICAL
+        assert "not a local maximum" in capsys.readouterr().err
 
     def test_report_carries_the_convergence_rate_and_conditioning(self, tmp_path, bench_files):
         p_file, f_file = bench_files
@@ -371,19 +397,16 @@ class TestEstimateCommand:
         assert float(entries["estimate.cond"]) == pytest.approx(np.linalg.cond(np.eye(6) - m1), rel=1e-9)
 
     def test_sem_failure_hints_at_skip_sem(self, tmp_path, capsys):
-        # state 1 is only ever seen entering its self-loop tail, so its
-        # recorded exits carry no information and the covariance cannot exist
+        # EM stops at a saddle point here (as in the test above), where the
+        # covariance does not exist; the estimate is still reported without it
         from markovfilter.cli import EXIT_NUMERICAL
 
-        chain = write(tmp_path / "chain.txt", "2 3 2 3 2 1 1 1")
-        f_file = tmp_path / "f.csv"
-        io.write_matrix_csv(f_file, np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]]).astype(float))
-        y_file = tmp_path / "y.txt"
-        main(["filter", str(chain), str(f_file), "--out", str(y_file)])
-        capsys.readouterr()
-        assert main(["estimate", str(y_file), str(f_file)]) == EXIT_NUMERICAL
+        probs = np.array([[0.7, 0.3], [0.4, 0.6]])
+        F = np.array([[0, 0], [1, 0]])
+        code, _, _ = estimate_on_support(tmp_path, capsys, probs, 10, n=500, filter_bits=F)
+        assert code == EXIT_NUMERICAL
         assert "--skip-sem" in capsys.readouterr().err
-        assert main(["estimate", str(y_file), str(f_file), "--skip-sem"]) == EXIT_OK
+        assert main(["estimate", str(tmp_path / "y.txt"), str(tmp_path / "f.csv"), "--skip-sem"]) == EXIT_OK
 
     def test_skip_sem_omits_covariances(self, tmp_path, capsys):
         chain = write(tmp_path / "chain.txt", "1 2 1 2 2 1")
@@ -505,6 +528,37 @@ class TestEmbedCommand:
             ]
         )
         assert code != EXIT_OK
+
+    def test_embedded_standard_errors(self, tmp_path, capsys):
+        # order 2 over two states: each tuple row allows two successors, p
+        # and 1 - p, so a row's two entries share one standard error and
+        # the chi-square has one degree of freedom per tuple row
+        rng = np.random.default_rng(11)
+        states = [1, 2]
+        for _ in range(600):
+            older = states[-2]
+            states.append(older if rng.random() < (0.8 if older == 1 else 0.3) else 3 - older)
+        chain = write(tmp_path / "chain.txt", " ".join(map(str, states)))
+        emb, support = tmp_path / "emb.txt", tmp_path / "support.csv"
+        main(["embed", chain, "--states", "2", "--order", "2", "--out", str(emb), "--support-out", str(support)])
+        f_file, y_file = tmp_path / "f.csv", tmp_path / "y.txt"
+        io.write_matrix_csv(f_file, np.array([[1, 0, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]]))
+        main(["filter", str(emb), str(f_file), "--out", str(y_file)])
+        report = tmp_path / "report.kv"
+        args = ["estimate", str(y_file), str(f_file), "--support", str(support), "--out", str(report)]
+        assert main(args) == EXIT_OK
+        entries = io.read_kv_report(report)
+        for row in (1, 3):  # tuples (1, 1) and (2, 1) move to (1, 1) or (1, 2)
+            se = float(entries[f"estimate.se.{row}.1"])
+            assert np.isfinite(se) and float(entries[f"estimate.se.{row}.2"]) == pytest.approx(se, rel=1e-9)
+            var = float(entries[f"estimate.v_obs.{3 * row - 2}.{3 * row - 2}"])
+            assert float(entries[f"estimate.v_obs.{3 * row - 2}.{3 * row - 1}"]) == pytest.approx(-var, rel=1e-9)
+        probs = np.array([[float(entries[f"estimate.theta.{i}.{j}"]) for j in range(1, 5)] for i in range(1, 5)])
+        null_file = tmp_path / "null.csv"
+        io.write_matrix_csv(null_file, probs / probs.sum(axis=1, keepdims=True))
+        capsys.readouterr()
+        assert main(["test", str(report), str(null_file)]) == EXIT_OK
+        assert "degrees of freedom   = 4" in capsys.readouterr().out
 
     def test_embedded_estimate_workflow(self, tmp_path, capsys):
         # order-2 workflow: embed, filter the tuple chain, estimate with the

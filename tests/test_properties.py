@@ -15,23 +15,26 @@ from markovfilter import (
     StateSpace,
     TransitionMatrix,
     Verdict,
+    SingularCovarianceError,
     apply_filter,
-    complete_info,
     default_sem_start,
     e_step,
     em_jacobian,
     enumerate_completions,
+    free_coordinates,
     identifiability_verdict,
     m_step,
     observed_loglik,
     oracle_expected_counts,
     oracle_observed_likelihood,
     run_em,
+    run_sem,
     sem_m1,
     simulate_chain,
-    v_com,
+    transition_counts,
     validate_consistency,
 )
+from test_sem import fd_hessian, moved
 
 
 @st.composite
@@ -183,9 +186,65 @@ def test_complex_step_jacobian_matches_forced_iterations(case):
     assume(interior(fit))
     m1 = em_jacobian(y, F, fit.theta_hat)
     assume(0.3 <= np.max(np.abs(np.linalg.eigvals(m1))) <= 0.95 and np.diag(m1).min() >= 0.05)
-    start = default_sem_start(fit.theta_hat, v_com(complete_info(fit.expected_counts, fit.theta_hat)), y.space.k)
+    start = default_sem_start(fit.theta_hat, run_sem(y, F, fit).v_com, y.space.k)
     forced, _ = sem_m1(y, F, fit.theta_hat, start)
     np.testing.assert_allclose(m1, forced, rtol=0, atol=1e-4)
+
+
+@st.composite
+def supported_fits(draw):
+    """(y, F, fit): k in {2, 3}, a support with a zero in the last column of
+    some row, an identifiable filter, and the EM fit to the filtered image
+    of a simulated chain of 300 to 800 transitions that leaves every state.
+    Under a support only the two-zero-column family certifies a filter, and
+    only for k >= 3: k = 3 draws a sparse filter above such a witness, and
+    k = 2 records everything."""
+    k = draw(st.sampled_from((3, 2)))
+    dense = st.sampled_from((True, True, True, False))  # hidden paths that branch
+    mask = np.reshape(draw(st.lists(dense, min_size=k * k, max_size=k * k)), (k, k))
+    perm = np.array(draw(st.permutations(range(k))))
+    mask[np.arange(k), perm] = True  # rows and columns nonempty
+    mask[draw(st.sampled_from(np.flatnonzero(perm != k - 1).tolist())), k - 1] = False
+    col = draw(st.integers(0, k - 2))
+    mask[:, col] = True
+    sparse = st.sampled_from((False, False, False, True))  # little recorded: M1 far from 0
+    bits = np.reshape(draw(st.lists(sparse, min_size=k * k, max_size=k * k)), (k, k))
+    bits[:, col] = True  # a witness: the other two columns zero
+    F = FilterMatrix(bits | (k == 2))
+    assert k == 2 or identifiability_verdict(F, mask).verdict is Verdict.SUFFICIENT_IDENTIFIABLE
+    weights = np.reshape(draw(st.lists(st.floats(0.1, 1.0), min_size=k * k, max_size=k * k)), (k, k))
+    weights = weights * mask
+    P = TransitionMatrix.from_probs(weights / weights.sum(axis=1, keepdims=True), mask)
+    x = simulate_chain(P, 1, draw(st.integers(300, 800)), draw(st.integers(0, 2**16)))
+    assume(np.all(transition_counts(x).counts.sum(axis=1) > 0))  # every state is left
+    y = apply_filter(x, F)
+    return y, F, run_em(y, F, max_iter=3000, support=mask)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(supported_fits())
+def test_v_obs_is_the_inverse_observed_information_on_the_free_coordinates(case):
+    # the free directions are e_ij - e_ir with r_i the row's last positive
+    # entry, which lies before the last column in some row
+    y, F, fit = case
+    positive = fit.probs[fit.probs > 0]
+    assume(fit.converged and positive.min() > 0.02)
+    try:
+        sem = run_sem(y, F, fit)
+    except SingularCovarianceError:  # EM stopped at a saddle point
+        assume(False)
+    free, lift = free_coordinates(fit.probs)
+    # central differences err by about (h / p)^2 relative at the smallest p
+    h = 1e-3 * positive.min()
+    H = fd_hessian(lambda delta: observed_loglik(y, moved(fit.probs, lift, delta), F), np.zeros(free.size), h)
+    v_fd = np.linalg.inv(-H)
+    v = sem.v_obs[np.ix_(free, free)]
+    assert np.max(np.abs(v - v_fd)) <= 1e-4 * np.max(np.abs(v_fd))
+    # a row with a zero last column sums to one inside the reported layout
+    k = y.space.k
+    for i in np.flatnonzero(fit.probs[:, -1] == 0):
+        block = slice(i * (k - 1), (i + 1) * (k - 1))
+        assert abs(sem.v_obs[block, block].sum()) <= 1e-12 * np.max(np.abs(v))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,21 +1,19 @@
-"""Complete-data information, the forced-iteration Jacobian, and the
-observed-covariance assembly, each checked against an independent
-finite-difference oracle."""
+"""The closed-form complete-data covariance, the forced-iteration
+Jacobian, and the observed-covariance assembly, each checked against an
+independent finite-difference oracle."""
 
 import numpy as np
 import pytest
 
 from markovfilter import (
-    CountMatrix,
+    CompleteChain,
     FilterMatrix,
-    ParamVector,
-    SingularBlockError,
     StateSpace,
     TransitionMatrix,
     apply_filter,
-    complete_info,
     default_sem_start,
     e_step,
+    free_coordinates,
     m_step,
     observed_loglik,
     run_em,
@@ -23,10 +21,9 @@ from markovfilter import (
     sem_m1,
     simulate_chain,
     symmetry_diagnostic,
-    v_com,
     v_obs,
 )
-from conftest import BENCH_FILTER, BENCH_PROBS
+from conftest import BENCH_FILTER, BENCH_PROBS, random_interior_probs
 
 F_DIAG = FilterMatrix(np.array([[1, 0], [0, 1]]))
 # recording only 2 -> 1 leaves two unrecorded exits from state 1, so hidden
@@ -75,6 +72,38 @@ def fd_hessian(f, x, h=1e-4):
     return H
 
 
+def moved(probs, lift, delta):
+    """``probs`` moved by ``delta`` along the free coordinates whose changes
+    in the free-parameter layout are the columns of ``lift``; each row's
+    last column takes up the rest."""
+    k = len(probs)
+    change = (lift @ delta).reshape(k, k - 1)
+    return probs + np.hstack([change, -change.sum(axis=1, keepdims=True)])
+
+
+def full_observation_sem(digits, support=None):
+    """(fit, SEM result) for a fully observed chain given as a digit string:
+    EM stops at the complete-data MLE, so theta_hat = E / N exactly."""
+    chain = CompleteChain(tuple(int(c) for c in digits), StateSpace(int(max(digits))))
+    F = FilterMatrix.all_ones(chain.space.k)
+    y = apply_filter(chain, F)
+    fit = run_em(y, F, support=support)
+    return fit, run_sem(y, F, fit)
+
+
+#: Three states, each of the nine transitions four times: one circuit
+#: 1 1 2 2 3 3 1 3 2 1 through all of them, repeated.
+EQUAL_COUNTS_CHAIN = "1" + "122331321" * 4
+#: Support row 1 never enters state 3: the row's last column is zero, and
+#: its reference column is 2.
+LAST_COLUMN_ZERO = np.array([[0.4, 0.6, 0.0], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
+
+
+def simulated_digits(probs, n, seed):
+    P = TransitionMatrix.from_probs(probs, probs > 0)
+    return "".join(map(str, simulate_chain(P, 1, n, seed).states))
+
+
 @pytest.fixture
 def fitted_two_state():
     P = TransitionMatrix.from_probs([[0.7, 0.3], [0.4, 0.6]])
@@ -86,90 +115,81 @@ def fitted_two_state():
 
 class TestCompleteInfo:
     def test_single_row_block_value(self):
-        counts = CountMatrix(np.array([[2.0, 1.0], [0.0, 0.0]]))
-        theta = ParamVector(np.array([2 / 3, 0.5]), StateSpace(2))
-        info = complete_info(counts, theta)
-        assert info[0, 0] == pytest.approx(13.5)
+        # row 1 counts (2, 1): V_com = p(1 - p) / N = (2/3)(1/3)/3 = 1/13.5;
+        # row 2 only ever moves to 1, so p_21 = 1 is fixed
+        _, sem = full_observation_sem("11211")
+        assert sem.v_com[0, 0] == pytest.approx(1 / 13.5, rel=1e-12)
+        assert sem.v_com[1, 1] == 0.0
 
     def test_matches_fd_hessian_of_complete_loglik(self):
-        counts = np.array([[2.0, 1.0], [0.0, 0.0]])
-        theta = np.array([2 / 3, 0.5])
+        # the inverse information along the free directions e_ij - e_ir;
+        # row 1 has support (1, 1, 0), so p_12 is its reference and p_11,
+        # p_12 are perfectly anticorrelated
+        probs = LAST_COLUMN_ZERO
+        F = FilterMatrix(BENCH_FILTER)
+        y = apply_filter(simulate_chain(TransitionMatrix.from_probs(probs, probs > 0), 1, 3000, 1), F)
+        fit = run_em(y, F, support=probs > 0)
+        counts = fit.expected_counts.counts
+        free, lift = free_coordinates(fit.probs)
 
-        def loglik(t):
-            p11, p21 = t
-            return (
-                counts[0, 0] * np.log(p11)
-                + counts[0, 1] * np.log(1 - p11)
-                + 1e-12 * p21  # row 2 carries no counts
-            )
+        def loglik(delta):
+            p = moved(fit.probs, lift, delta)
+            return float(np.sum(counts[p > 0] * np.log(p[p > 0])))
 
-        H = fd_hessian(loglik, theta, h=1e-5)
-        info = complete_info(CountMatrix(counts), ParamVector(theta, StateSpace(2)))
-        assert info[0, 0] == pytest.approx(-H[0, 0], rel=1e-5)
+        H = fd_hessian(loglik, np.zeros(free.size), h=1e-4)
+        expected = lift @ np.linalg.inv(-H) @ lift.T
+        vc = run_sem(y, F, fit).v_com
+        assert np.max(np.abs(vc - expected)) < 1e-5 * np.max(np.abs(expected))
+        assert vc[1, 1] == pytest.approx(vc[0, 0], rel=1e-12)
+        assert vc[0, 1] == pytest.approx(-vc[0, 0], rel=1e-12)
 
     def test_uniform_equal_counts_structure(self):
-        k = 3
-        counts = np.full((k, k), 4.0)
-        theta = TransitionMatrix.from_probs(np.full((k, k), 1 / 3)).theta()
-        info = complete_info(CountMatrix(counts), theta)
-        c = 4.0 / (1 / 3) ** 2
-        block = c * (np.eye(k - 1) + np.ones((k - 1, k - 1)))
-        np.testing.assert_allclose(info[:2, :2], block)
-        np.testing.assert_allclose(info[2:4, 2:4], block)
+        fit, sem = full_observation_sem(EQUAL_COUNTS_CHAIN)
+        np.testing.assert_allclose(fit.probs, np.full((3, 3), 1 / 3), rtol=1e-15)
+        # the inverse of the information c (I + 1 1^T) with c = 4 / (1/3)^2
+        block = np.linalg.inv(36.0 * (np.eye(2) + np.ones((2, 2))))
+        np.testing.assert_allclose(sem.v_com[:2, :2], block, rtol=1e-12)
+        np.testing.assert_allclose(sem.v_com[2:4, 2:4], block, rtol=1e-12)
 
     def test_cross_row_entries_are_zero(self):
-        rng = np.random.default_rng(3)
-        counts = rng.gamma(2.0, 5.0, (3, 3))
-        probs = counts / counts.sum(axis=1, keepdims=True)
-        info = complete_info(CountMatrix(counts), TransitionMatrix.from_probs(probs).theta())
-        info_copy = info.copy()
+        _, sem = full_observation_sem(simulated_digits(BENCH_PROBS, 300, 3))
+        off_blocks = sem.v_com.copy()
         for i in range(3):
-            sl = slice(2 * i, 2 * i + 2)
-            info_copy[sl, sl] = 0.0
-        assert np.all(info_copy == 0.0)
+            off_blocks[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 0.0
+        assert np.all(off_blocks == 0.0) and np.all(np.diag(sem.v_com) > 0.0)
 
     def test_fixed_coordinate_is_left_out_of_its_block(self):
-        # p_11 = 0 with no mass is fixed; p_12 alone carries row 1's curvature
-        counts = np.array([[0.0, 4.0, 6.0], [3.0, 1.0, 1.0], [2.0, 2.0, 1.0]])
-        probs = counts / counts.sum(axis=1, keepdims=True)
-        info = complete_info(CountMatrix(counts), TransitionMatrix.from_probs(probs).theta())
-        c12, c13 = 4.0 / 0.4**2, 6.0 / 0.6**2
-        np.testing.assert_allclose(info[:2, :2], [[0.0, 0.0], [0.0, c12 + c13]])
-        vc = v_com(info)
-        np.testing.assert_allclose(vc[:2, :2], [[0.0, 0.0], [0.0, 1.0 / (c12 + c13)]])
-        np.testing.assert_allclose(vc[2:4, 2:4], np.linalg.inv(info[2:4, 2:4]))
-
-    def test_mass_on_zero_probability_raises(self):
-        counts = CountMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
-        theta = ParamVector(np.array([0.0, 0.5]), StateSpace(2))
-        with pytest.raises(SingularBlockError):
-            complete_info(counts, theta)
+        # p_11 = 0 on the support is fixed; p_12 alone is free in row 1
+        probs = np.array([[0.0, 0.4, 0.6], [0.3, 0.3, 0.4], [0.4, 0.4, 0.2]])
+        fit, sem = full_observation_sem(simulated_digits(probs, 300, 4), probs > 0)
+        n1 = fit.expected_counts.counts[0].sum()
+        p12 = fit.probs[0, 1]
+        np.testing.assert_array_equal(sem.v_com[0], 0.0)
+        np.testing.assert_array_equal(sem.v_com[:, 0], 0.0)
+        assert sem.v_com[1, 1] == pytest.approx(p12 * (1 - p12) / n1, rel=1e-12)
 
 
 class TestVcom:
-    def test_reciprocal_of_diagonal(self):
-        info = np.diag([13.5, 2.0])
-        np.testing.assert_allclose(np.diag(v_com(info)), [1 / 13.5, 0.5])
-        assert v_com(info)[0, 0] == pytest.approx(0.0740740740741, abs=1e-12)
-
     def test_blockwise_equals_dense_inverse(self):
-        rng = np.random.default_rng(11)
-        counts = rng.gamma(2.0, 5.0, (3, 3))
-        probs = counts / counts.sum(axis=1, keepdims=True)
-        info = complete_info(CountMatrix(counts), TransitionMatrix.from_probs(probs).theta())
-        np.testing.assert_allclose(v_com(info), np.linalg.inv(info), rtol=1e-9, atol=1e-14)
+        # the dense inverse of the complete-data information along the free
+        # directions, sum_ij E_ij / p_ij^2 d_ij d_ij^T, where row 1's last
+        # column is zero
+        fit, sem = full_observation_sem(simulated_digits(LAST_COLUMN_ZERO, 300, 3))
+        probs, counts = fit.probs, fit.expected_counts.counts
+        assert probs[0, 2] == 0.0
+        free, lift = free_coordinates(probs)
+        directions = np.stack([moved(probs, lift, e) - probs for e in np.eye(free.size)])
+        weight = np.divide(counts, probs**2, out=np.zeros_like(probs), where=probs > 0)
+        info = np.einsum("aij,ij,bij->ab", directions, weight, directions)
+        np.testing.assert_allclose(
+            sem.v_com, lift @ np.linalg.inv(info) @ lift.T, rtol=1e-9, atol=1e-14
+        )
 
     def test_blocks_are_spd(self):
-        rng = np.random.default_rng(12)
-        counts = rng.gamma(2.0, 5.0, (4, 4))
-        probs = counts / counts.sum(axis=1, keepdims=True)
-        info = complete_info(CountMatrix(counts), TransitionMatrix.from_probs(probs).theta())
-        assert np.all(np.linalg.eigvalsh(0.5 * (info + info.T)) > 0)
-
-    def test_singular_block_raises(self):
-        info = np.zeros((2, 2))
-        with pytest.raises(SingularBlockError):
-            v_com(info)
+        probs = random_interior_probs(np.random.default_rng(12), 4)
+        _, sem = full_observation_sem(simulated_digits(probs, 500, 12))
+        vc = sem.v_com
+        assert np.all(np.linalg.eigvalsh(vc) > 0)
 
 
 class TestSemM1:
@@ -198,8 +218,7 @@ class TestSemM1:
 
     def test_insensitive_to_the_start(self, fitted_two_state):
         y, result = fitted_two_state
-        info = complete_info(result.expected_counts, result.theta_hat)
-        vc = v_com(info)
+        vc = run_sem(y, F_ZROW, result).v_com
         start_sd = default_sem_start(result.theta_hat, vc, 2)
         # an early EM iterate as the alternative start
         early = m_step(e_step(y, np.array([0.45, 0.55]), F_ZROW)).theta
@@ -287,6 +306,13 @@ class TestRunSemInvariants:
         assert np.all(sem.delta_v == 0.0)
         np.testing.assert_array_equal(sem.v_obs, sem.v_com)
 
+    def test_deterministic_estimate_has_nothing_free(self):
+        # every state always moves to the other one: no coordinate is free
+        _, sem = full_observation_sem("12121")
+        for mat in (sem.m1, sem.v_com, sem.v_obs, sem.delta_v):
+            np.testing.assert_array_equal(mat, np.zeros((2, 2)))
+        assert (sem.spectral_radius, sem.cond) == (0.0, 1.0)
+
     def test_missingness_cannot_reduce_variance(self, fitted_two_state):
         y, result = fitted_two_state
         sem = run_sem(y, F_ZROW, result)
@@ -294,7 +320,6 @@ class TestRunSemInvariants:
         assert np.min(np.linalg.eigvalsh(gap)) > -1e-6
 
     def test_v_com_blocks_spd(self, fitted_two_state):
-        _, result = fitted_two_state
-        info = complete_info(result.expected_counts, result.theta_hat)
-        vc = v_com(info)
+        y, result = fitted_two_state
+        vc = run_sem(y, F_ZROW, result).v_com
         assert np.all(np.linalg.eigvalsh(0.5 * (vc + vc.T)) > 0)
