@@ -30,6 +30,7 @@ from .errors import (
     ConsistencyError,
     FileFormatError,
     MarkovFilterError,
+    SingularCovarianceError,
 )
 from .filtering import (
     Verdict,
@@ -172,8 +173,6 @@ def cmd_estimate(args) -> int:
         raise ValueError("tolerances must be positive")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if args.states is not None and args.states != F.k:
-        raise FileFormatError(args.filter, f"filter is {F.k}x{F.k} but --states={args.states}")
     y = io.read_filtered_chain(args.filtered, F.k, args.blank_token)
     support = io.read_support_csv(args.support) if args.support else None
     try:  # run_em validates the pattern before it iterates
@@ -190,6 +189,14 @@ def cmd_estimate(args) -> int:
     if not args.skip_sem:
         try:
             sem_result = run_sem(y, F, em_result)
+        except SingularCovarianceError as err:
+            print(
+                f"error: {err}\nhint: EM stopped at a saddle point, not at a maximum; "
+                "it should be started from another point. --skip-sem would only "
+                "report that saddle point, without covariances",
+                file=sys.stderr,
+            )
+            return EXIT_NUMERICAL
         except MarkovFilterError as err:
             print(
                 f"error: {err}\nhint: the estimate itself is fine; rerun with "
@@ -235,9 +242,7 @@ def cmd_estimate(args) -> int:
         print(f"wrote report to {args.out}")
     else:
         print("report:")
-        for key, value in entries.items():
-            text = _fmt(value) if isinstance(value, float) else str(value)
-            print(f"{key} = {text}")
+        print("\n".join(io.format_kv_report(entries)))
     return EXIT_OK
 
 
@@ -333,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="EM + supplemented-EM estimation from a filtered chain")
     p.add_argument("filtered", help="filtered-chain file")
     p.add_argument("filter", help="CSV 0/1 filter matrix")
-    p.add_argument("--states", type=int, default=None, help="number of states (checked against the filter)")
     p.add_argument("--blank-token", default="-")
     p.add_argument("--tol", type=float, default=1e-12, help="EM convergence tolerance")
     p.add_argument("--max-iter", type=int, default=100_000)

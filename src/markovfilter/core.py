@@ -128,14 +128,27 @@ class CompleteChain(_ArrayChain):
         return self._array
 
 
+def support_mask(support, k: int):
+    """The structural support as a read-only k x k bool mask, or None when
+    ``support`` is None (every transition allowed). A mask must allow at
+    least one transition in every row and every column."""
+    if support is None:
+        return None
+    mask = _readonly(support, bool)
+    if mask.shape != (k, k):
+        raise ValueError(f"support mask must be {k} x {k}, got shape {mask.shape}")
+    if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
+        raise ValueError("support must allow a transition in every row and column")
+    return mask
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic transition probabilities with an explicit support mask.
 
     ``support[i, j]`` marks transitions allowed to be positive; entries off
     the support are structural zeros fixed before any data are collected.
-    Every row and every column of the support must contain at least one
-    allowed transition.
+    The mask is read by ``support_mask``; None allows every transition.
     """
 
     probs: np.ndarray
@@ -143,15 +156,15 @@ class TransitionMatrix:
 
     def __post_init__(self):
         probs = _readonly(self.probs, float)
-        support = _readonly(self.support, bool)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "support", support)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValueError(f"probs must be square, got shape {probs.shape}")
-        if support.shape != probs.shape:
-            raise ValueError("support mask shape differs from probs")
         if probs.shape[0] < 2:
             raise ValueError("need at least two states")
+        support = support_mask(self.support, probs.shape[0])
+        if support is None:
+            support = _readonly(np.ones(probs.shape), bool)
+        object.__setattr__(self, "support", support)
         if np.any(probs < -ROW_SUM_TOL):
             raise ValueError("negative transition probability")
         rowsums = probs.sum(axis=1)
@@ -160,15 +173,10 @@ class TransitionMatrix:
             raise ValueError(f"row {bad + 1} sums to {rowsums[bad]!r}, not 1")
         if np.any(probs[~support] != 0.0):
             raise ValueError("positive probability on a structural zero")
-        if np.any(~support.any(axis=1)) or np.any(~support.any(axis=0)):
-            raise ValueError("support must allow a transition in every row and column")
 
     @classmethod
     def from_probs(cls, probs, support=None) -> "TransitionMatrix":
-        probs = np.asarray(probs, dtype=float)
-        if support is None:
-            support = np.ones_like(probs, dtype=bool)
-        return cls(probs, np.asarray(support, dtype=bool))
+        return cls(probs, support)
 
     @property
     def k(self) -> int:
@@ -296,6 +304,26 @@ class CountMatrix:
     @property
     def total(self) -> float:
         return float(self.counts.sum())
+
+
+def _as_probs(theta, k: int) -> np.ndarray:
+    """k x k probabilities from a ParamVector, a TransitionMatrix, a k x k
+    array or a free-parameter vector."""
+    if isinstance(theta, ParamVector):
+        return theta.to_probs()
+    if isinstance(theta, TransitionMatrix):
+        return theta.probs
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape == (k, k):
+        return theta
+    return theta_to_probs(theta, k)
+
+
+def _as_theta(theta) -> np.ndarray:
+    """Free-parameter vector from a ParamVector or any array-like."""
+    if isinstance(theta, ParamVector):
+        theta = theta.theta
+    return np.asarray(theta, dtype=float).reshape(-1)
 
 
 #: Draws per block of the simulation walk; bounds the size of its lookup table.

@@ -19,6 +19,7 @@ row-normalizes the expected counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,11 @@ from .core import (
     CountMatrix,
     ParamVector,
     StateSpace,
-    TransitionMatrix,
+    _as_probs,
     _normalize_rows,
+    _readonly,
     probs_to_theta,
-    theta_to_probs,
+    support_mask,
 )
 from .errors import NonFiniteError, ZeroDenominatorError
 from .filtering import ChainSegments, FilteredChain, FilterMatrix, validate_consistency
@@ -61,16 +63,20 @@ class GapSegment:
 
 @dataclass(frozen=True)
 class EMResult:
-    theta_hat: ParamVector
+    """``probs`` is the last M-step matrix, read-only, so an entry the
+    M-step leaves at zero is exactly zero; ``theta_hat`` is its
+    free-parameter vector."""
+
+    probs: np.ndarray
     iterations: int
     converged: bool
     final_observed_loglik: float
     expected_counts: CountMatrix
     loglik_trace: tuple
 
-    @property
-    def probs(self) -> np.ndarray:
-        return self.theta_hat.to_probs()
+    @cached_property
+    def theta_hat(self) -> ParamVector:
+        return ParamVector(probs_to_theta(self.probs), StateSpace(self.probs.shape[0]))
 
 
 def split_p(P, F: FilterMatrix) -> SplitMatrices:
@@ -177,26 +183,6 @@ def _loglik(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray, masses=None
     return float(pairs) + float(seg.mult @ np.log(masses))
 
 
-def _as_probs(theta, k: int) -> np.ndarray:
-    """k x k probabilities from a ParamVector, a TransitionMatrix, a k x k
-    array or a free-parameter vector."""
-    if isinstance(theta, ParamVector):
-        return theta.to_probs()
-    if isinstance(theta, TransitionMatrix):
-        return theta.probs
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape == (k, k):
-        return theta
-    return theta_to_probs(theta, k)
-
-
-def _as_theta(theta) -> np.ndarray:
-    """Free-parameter vector from a ParamVector or any array-like."""
-    if isinstance(theta, ParamVector):
-        theta = theta.theta
-    return np.asarray(theta, dtype=float).reshape(-1)
-
-
 def _em_map(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):
     """One EM iteration from ``probs``: (next probabilities, observed
     log-likelihood at ``probs``)."""
@@ -233,15 +219,6 @@ def observed_loglik(y: FilteredChain, theta, F: FilterMatrix) -> float:
     return _loglik(y.segments, _as_probs(theta, y.space.k), F.bits)
 
 
-def _uniform_start(k: int, support) -> np.ndarray:
-    if support is None:
-        probs = np.full((k, k), 1.0 / k)
-    else:
-        support = np.asarray(support, dtype=bool)
-        probs = support / support.sum(axis=1, keepdims=True)
-    return probs
-
-
 def run_em(
     y: FilteredChain,
     F: FilterMatrix,
@@ -258,14 +235,17 @@ def run_em(
     k = y.space.k
     if F.k != k:
         raise ValueError("filter and pattern dimensions disagree")
-    validate_consistency(y, F, support)
+    mask = support_mask(support, k)
+    validate_consistency(y, F, mask)
     seg = y.segments
-    probs = _uniform_start(k, support) if theta0 is None else _as_probs(theta0, k)
-    if support is not None and np.any(probs[~np.asarray(support, dtype=bool)] != 0.0):
-        raise ValueError("starting point puts mass on a structural zero")
+    if theta0 is None:
+        probs = np.full((k, k), 1.0 / k) if mask is None else mask / mask.sum(axis=1, keepdims=True)
+    else:
+        probs = _as_probs(theta0, k)
+        if mask is not None and np.any(probs[~mask] != 0.0):
+            raise ValueError("starting point puts mass on a structural zero")
 
     trace = []
-    theta = probs_to_theta(probs)
     converged = False
     iterations = 0
     for _ in range(max_iter):
@@ -273,10 +253,9 @@ def run_em(
         if not np.isfinite(loglik):
             raise NonFiniteError("observed log-likelihood is not finite")
         trace.append(loglik)
-        new_theta = probs_to_theta(new_probs)
         iterations += 1
-        delta = float(np.max(np.abs(new_theta - theta)))
-        probs, theta = new_probs, new_theta
+        delta = float(np.max(np.abs(new_probs[:, :-1] - probs[:, :-1])))
+        probs = new_probs
         if delta < tol:
             converged = True
             break
@@ -286,7 +265,7 @@ def run_em(
         raise NonFiniteError("observed log-likelihood is not finite")
     trace.append(loglik_hat)
     return EMResult(
-        theta_hat=ParamVector(theta, StateSpace(k)),
+        probs=_readonly(probs, float),
         iterations=iterations,
         converged=converged,
         final_observed_loglik=loglik_hat,

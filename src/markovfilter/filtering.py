@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompleteChain, StateSpace, _ArrayChain, _labels, _out_of_range, _readonly
+from .core import CompleteChain, StateSpace, _ArrayChain, _labels, _out_of_range, _readonly, support_mask
 from .errors import ConsistencyError
 
 #: Placeholder for a hidden state inside a filtered chain.
@@ -198,8 +198,10 @@ class IdentifiabilityVerdict:
     """Outcome of the sufficient-condition checks for one filter.
 
     ``verdict`` is SUFFICIENT_IDENTIFIABLE exactly when a closure witness
-    exists (one that also meets the per-row restriction R when a support
-    mask with structural zeros is supplied). UNKNOWN is not a proof of
+    exists; when the support mask has a structural zero, the witness must
+    also meet the per-row restriction R. ``satisfies_r`` is the literal row
+    check of ``satisfies_r`` whenever a support is given (an all-ones one
+    included), and True without one. UNKNOWN is not a proof of
     non-identifiability; it only means the sufficient conditions fail.
     """
 
@@ -361,63 +363,58 @@ def in_class_c3(F: FilterMatrix):
     return in_class_c2(FilterMatrix(F.bits.T))
 
 
-def _support(F: FilterMatrix, support) -> np.ndarray:
-    support = np.asarray(support, dtype=bool)
-    if support.shape != F.bits.shape:
-        raise ValueError("support mask shape differs from the filter")
-    return support
+def _witness(bits: np.ndarray, mask, searches):
+    """The first witness of the family ``searches`` as a FilterMatrix, or
+    None. Restriction R applies exactly when ``mask`` has a structural zero:
+    the one-zero-row and two-zero-row families cannot observe anything in
+    their zero rows, so R rules them out, and the two-zero-column search
+    then runs on the allowed transitions."""
+    if mask is not None and not mask.all():
+        found = _c2_search(bits, mask)
+    else:
+        found = next((f for f in searches if f is not None), None)
+    return None if found is None else FilterMatrix(found[2])
 
 
 def closure_witness(F: FilterMatrix, support=None):
     """Search for a filter D below F (D's ones a subset of F's) belonging to
-    one of the three identifiable families; with a support mask, D must also
-    observe at least one allowed transition per row (restriction R).
+    one of the three identifiable families. When the support mask has a
+    structural zero, D must also observe at least one allowed transition
+    per row (restriction R); None and an all-ones mask search alike.
 
     One maximum matching decides the one-zero-row family; the two-zero-column
     and two-zero-row families take a matching per candidate pair (alpha,
     beta), so the search is exact and polynomial. Returns None when no
     witness exists.
     """
-    if support is not None:
-        # The one-zero-row and two-zero-row families cannot observe anything
-        # in their zero rows, so restriction R rules them out entirely.
-        found = _c2_search(F.bits, _support(F, support))
-    else:
-        found = next((f for f in _searches(F.bits) if f is not None), None)
-    return None if found is None else FilterMatrix(found[2])
+    return _witness(F.bits, support_mask(support, F.k), _searches(F.bits))
 
 
 def satisfies_r(F: FilterMatrix, support) -> bool:
     """True iff every row records at least one transition the support allows."""
-    support = _support(F, support)
-    if np.any(~support.any(axis=1)) or np.any(~support.any(axis=0)):
-        raise ValueError("support must allow a transition in every row and column")
-    return bool((F.bits & support).any(axis=1).all())
+    return bool((F.bits & support_mask(support, F.k)).any(axis=1).all())
 
 
 def identifiability_verdict(F: FilterMatrix, support=None) -> IdentifiabilityVerdict:
     """Assemble class memberships and the closure-witness search into a
     verdict. Each family search runs at most once; its witness gives both
-    the membership and, without a support mask, the closure witness.
-    SUFFICIENT_IDENTIFIABLE is a proof; UNKNOWN only means the sufficient
-    conditions checked here do not apply."""
+    the membership and, unless the support has a structural zero, the
+    closure witness. SUFFICIENT_IDENTIFIABLE is a proof; UNKNOWN only means
+    the sufficient conditions checked here do not apply."""
     searches = _searches(F.bits)
     c1 = next(searches)
     # a C1 witness is a matching of k-1 edges, so F then has no two zero
     # columns or rows: it is in neither pair family and needs no other witness
     c2, c3 = searches if c1 is None else (None, None)
     pair_ones = 3 * (F.k - 2)
-    if support is None:
-        found = next((f for f in (c1, c2, c3) if f is not None), None)
-        wit = None if found is None else FilterMatrix(found[2])
-    else:
-        wit = closure_witness(F, support)
+    mask = support_mask(support, F.k)
+    wit = _witness(F.bits, mask, (c1, c2, c3))
     return IdentifiabilityVerdict(
         in_c1=_member(c1, F, F.k - 1) is not None,
         in_c2=_member(c2, F, pair_ones) is not None,
         in_c3=_member(c3, F, pair_ones) is not None,
         closure_witness=wit,
-        satisfies_r=True if support is None else satisfies_r(F, support),
+        satisfies_r=True if mask is None else satisfies_r(F, mask),
         verdict=Verdict.SUFFICIENT_IDENTIFIABLE if wit is not None else Verdict.UNKNOWN,
     )
 
@@ -456,19 +453,16 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
     """Raise ConsistencyError unless some complete chain produces ``y``.
 
     Checks: every observed position away from blanks has a recorded
-    adjacent transition (or is position 0); observed adjacent pairs lie on
-    the support; every gap is spanned by an unrecorded path through the
-    support graph; trailing blanks admit at least one all-unrecorded
+    adjacent transition (or is position 0); with a support mask, observed
+    adjacent pairs lie on the support; every gap is spanned by an
+    unrecorded path through the support graph (every transition when the
+    support is None); trailing blanks admit at least one all-unrecorded
     continuation of the right length. The failure reported is the one at
     the smallest position (a gap's position is its first blank).
     """
     if F.k != y.space.k:
         raise ValueError(f"filter is {F.k}x{F.k} but the pattern has k={y.space.k}")
-    k = F.k
-    if support is None:
-        support_arr = np.ones((k, k), dtype=bool)
-    else:
-        support_arr = np.asarray(support, dtype=bool)
+    mask = support_mask(support, F.k)
     seg = y.segments
 
     failures = []  # (position, rule); on a tie the earlier entry wins
@@ -476,14 +470,13 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
     if cov is not None:
         failures.append((cov, "observed position has no recorded adjacent transition"))
 
-    off = seg.pair_mask & ~support_arr
-    if off.any():
+    if mask is not None and (seg.pair_mask & ~mask).any():
         codes = y.codes
-        pairs_off = off[codes[:-1] - 1, codes[1:] - 1] & (codes[:-1] != 0) & (codes[1:] != 0)
+        pairs_off = ~mask[codes[:-1] - 1, codes[1:] - 1] & (codes[:-1] != 0) & (codes[1:] != 0)
         failures.append((int(np.argmax(pairs_off)), "observed transition off the support"))
 
     if seg.nu.size:
-        reach = _reach_table(~F.bits & support_arr, seg.nu_max)
+        reach = _reach_table(~F.bits if mask is None else ~F.bits & mask, seg.nu_max)
         ok = np.where(seg.trail, reach[seg.nu, seg.a].any(axis=1), reach[seg.nu, seg.a, seg.b])
         bad = np.flatnonzero(~ok)
         if bad.size:  # gap types are in order of first occurrence

@@ -9,7 +9,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .em import _as_theta
+from .core import _as_theta
 from .errors import NonPositiveVarianceError, SingularCovarianceError
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)

@@ -127,8 +127,9 @@ def read_support_csv(path) -> np.ndarray:
     return values.astype(bool)
 
 
-def write_kv_report(path, entries: dict) -> None:
-    """Flat dotted-key document, one ``key = value`` line per entry."""
+def format_kv_report(entries: dict) -> list:
+    """One ``key = value`` line per entry: booleans as true/false, floats
+    with 12 significant digits."""
     lines = []
     for key, value in entries.items():
         if isinstance(value, bool):
@@ -138,7 +139,12 @@ def write_kv_report(path, entries: dict) -> None:
         else:
             text = str(value)
         lines.append(f"{key} = {text}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return lines
+
+
+def write_kv_report(path, entries: dict) -> None:
+    """Flat dotted-key document, the lines of ``format_kv_report``."""
+    Path(path).write_text("\n".join(format_kv_report(entries)) + "\n")
 
 
 def read_kv_report(path) -> dict:

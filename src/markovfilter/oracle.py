@@ -9,14 +9,12 @@ performance path.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import CompleteChain, CountMatrix, StateSpace
-from .em import _as_probs
+from .core import CompleteChain, CountMatrix, _as_probs
 from .errors import BudgetExceededError, EmptyCompletionSetError
 from .filtering import FilteredChain, FilterMatrix, _coverage_failure
 
@@ -37,6 +35,35 @@ class CompletionSet:
         return float(sum(w for _, w in self.completions))
 
 
+def _fills(k: int, b: int) -> np.ndarray:
+    """All k**b ways to fill b positions with 0-based states, shape
+    (k**b, b), the first position most significant."""
+    return np.indices((k,) * b).reshape(b, k**b).T
+
+
+def _completions(y: FilteredChain, F: FilterMatrix, P, budget: int):
+    """(chains, weights) of ``enumerate_completions``: the completions as
+    0-based rows of an (m, n+1) array, in the order of the fills of the
+    blanks, and their path probabilities. Callers add the weights one at a
+    time in that order, as ``CompletionSet.total_weight`` does."""
+    k = y.space.k
+    probs = _as_probs(P, k)
+    codes = y.codes
+    blanks = np.flatnonzero(codes == 0)
+    m = k**blanks.size
+    if m > budget:
+        raise BudgetExceededError(f"{m} candidate completions exceed the budget {budget}")
+    if _coverage_failure(y, F) is not None:
+        return np.empty((0, len(codes)), dtype=np.intp), np.empty(0)
+    chains = np.repeat(codes[None, :] - 1, m, axis=0)
+    chains[:, blanks] = _fills(k, blanks.size)
+    touched = np.flatnonzero((codes[:-1] == 0) | (codes[1:] == 0))  # transitions next to a blank
+    chains = chains[~F.bits[chains[:, touched], chains[:, touched + 1]].any(axis=1)]
+    weights = probs[chains[:, :-1], chains[:, 1:]].prod(axis=1)
+    keep = weights > 0.0
+    return chains[keep], weights[keep]
+
+
 def enumerate_completions(
     y: FilteredChain, F: FilterMatrix, P, budget: int = DEFAULT_BUDGET
 ) -> CompletionSet:
@@ -47,76 +74,37 @@ def enumerate_completions(
     positions away from blanks are themselves explainable (position 0 or a
     recorded adjacent transition). Chains of probability zero are dropped.
     """
-    k = y.space.k
-    probs = _as_probs(P, k)
-    bits = F.bits
-    sym = y.symbols
-    blanks = [p for p, s in enumerate(sym) if s is None]
-    if k ** len(blanks) > budget:
-        raise BudgetExceededError(
-            f"{k ** len(blanks)} candidate completions exceed the budget {budget}"
-        )
-    if _coverage_failure(y, F) is not None:
-        return CompletionSet(())
-
-    last = len(sym) - 1
-    template = [0 if s is None else s for s in sym]
-    space = StateSpace(k)
-    found = []
-    for fill in itertools.product(range(1, k + 1), repeat=len(blanks)):
-        states = template.copy()
-        for p, s in zip(blanks, fill):
-            states[p] = s
-        ok = True
-        for p in blanks:
-            if bits[states[p - 1] - 1, states[p] - 1]:
-                ok = False
-                break
-            if p < last and bits[states[p] - 1, states[p + 1] - 1]:
-                ok = False
-                break
-        if not ok:
-            continue
-        idx = np.asarray(states, dtype=np.intp) - 1
-        weight = float(np.prod(probs[idx[:-1], idx[1:]]))
-        if weight > 0.0:
-            found.append((CompleteChain._of(idx, space), weight))
-    return CompletionSet(tuple(found))
+    chains, weights = _completions(y, F, P, budget)
+    return CompletionSet(
+        tuple((CompleteChain._of(c, y.space), w) for c, w in zip(chains, weights.tolist()))
+    )
 
 
 def oracle_expected_counts(y: FilteredChain, F: FilterMatrix, P) -> CountMatrix:
     """Weight-normalized average of the transition counts over all
     completions; the definitional counterpart of the analytic E-step."""
-    cs = enumerate_completions(y, F, P)
-    if len(cs) == 0:
+    chains, weights = _completions(y, F, P, DEFAULT_BUDGET)
+    if not weights.size:
         raise EmptyCompletionSetError("the pattern admits no completion")
     k = y.space.k
-    acc = np.zeros((k, k))
-    total = 0.0
-    for chain, weight in cs.completions:
-        idx = chain.as_indices()
-        np.add.at(acc, (idx[:-1], idx[1:]), weight)
-        total += weight
-    return CountMatrix(acc / total)
+    cells = (chains[:, :-1] * k + chains[:, 1:]).ravel()
+    acc = np.bincount(cells, weights=np.repeat(weights, y.n_transitions), minlength=k * k)
+    return CountMatrix(acc.reshape(k, k) / sum(weights.tolist()))
 
 
 def oracle_observed_likelihood(y: FilteredChain, F: FilterMatrix, P) -> float:
     """Total probability mass of the pattern: the sum of completion weights
     (zero when none exists)."""
-    cs = enumerate_completions(y, F, P)
-    return cs.total_weight
+    return float(sum(_completions(y, F, P, DEFAULT_BUDGET)[1].tolist()))
 
 
 @lru_cache(maxsize=16)
 def _chain_table(k: int, length: int, initial: int):
     """All k**length chains of ``length`` transitions from ``initial`` as a
     0-based index array of shape (k**length, length + 1)."""
-    m = k**length
-    table = np.empty((m, length + 1), dtype=np.intp)
+    table = np.empty((k**length, length + 1), dtype=np.intp)
     table[:, 0] = initial - 1
-    grids = np.meshgrid(*([np.arange(k)] * length), indexing="ij")
-    for t, g in enumerate(grids):
-        table[:, t + 1] = g.reshape(-1)
+    table[:, 1:] = _fills(k, length)
     table.setflags(write=False)
     return table
 

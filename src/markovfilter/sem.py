@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import free_coordinates, probs_to_theta, theta_to_probs
-from .em import EMResult, _as_probs, _as_theta, _em_update
+from .core import _as_probs, _as_theta, free_coordinates, probs_to_theta, theta_to_probs
+from .em import EMResult, _em_update
 from .errors import (
     RowNotConvergedError,
     SingularCovarianceError,
@@ -238,7 +238,7 @@ def run_sem(y: FilteredChain, F: FilterMatrix, em_result: EMResult) -> SemResult
     p = probs_to_theta(probs)[free]
     totals = em_result.expected_counts.counts.sum(axis=1)[rows]
     vc = np.where(rows[:, None] == rows, np.diag(p) - np.outer(p, p), 0.0) / totals[:, None]
-    m1 = em_jacobian(y, F, em_result.theta_hat)
+    m1 = em_jacobian(y, F, probs)
     m1_free = m1[np.ix_(free, free)]
     inv, cond = _inverse_update(m1_free)
     raw_v = vc @ inv

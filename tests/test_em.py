@@ -434,6 +434,11 @@ class TestRunEm:
         assert result.probs[0, 2] == 0.0
         assert result.expected_counts.counts[0, 2] == 0.0
 
+    def test_support_row_without_a_transition_raises(self):
+        y = FilteredChain((1, 2, 1, 1), StateSpace(2))
+        with pytest.raises(ValueError, match="every row and column"):
+            run_em(y, FilterMatrix.all_ones(2), support=[[True, True], [False, False]])
+
     def test_inconsistent_pattern_is_rejected(self):
         y = FilteredChain((1, 2), StateSpace(2))
         from markovfilter import ConsistencyError

@@ -246,6 +246,18 @@ class TestCheckFilterCommand:
         io.write_matrix_csv(s_file, support.astype(float))
         assert main(["check-filter", f_file, "--support", str(s_file)]) == EXIT_UNIDENTIFIABLE
 
+    def test_all_ones_support_keeps_the_verdict(self, tmp_path, bench_files, capsys):
+        # restriction R applies only when the support has a structural zero
+        _, f_file = bench_files
+        s_file = tmp_path / "s.csv"
+        io.write_matrix_csv(s_file, np.ones((3, 3), dtype=bool))
+        assert main(["check-filter", f_file]) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert main(["check-filter", f_file, "--support", str(s_file)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "records an allowed transition per row: True" in lines
+        assert [ln for ln in lines if not ln.startswith("records ")] == plain.splitlines()
+
 
 class TestEstimateCommand:
     def test_full_observation_recovers_mle(self, tmp_path, capsys):
@@ -380,7 +392,9 @@ class TestEstimateCommand:
         F = np.array([[0, 0], [1, 0]])  # records only 2 -> 1
         code, _, _ = estimate_on_support(tmp_path, capsys, probs, seed, n=500, filter_bits=F)
         assert code == EXIT_NUMERICAL
-        assert "not a local maximum" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not a local maximum" in err
+        assert "the estimate itself is fine" not in err
 
     def test_report_carries_the_convergence_rate_and_conditioning(self, tmp_path, bench_files):
         p_file, f_file = bench_files
@@ -407,6 +421,37 @@ class TestEstimateCommand:
         assert code == EXIT_NUMERICAL
         assert "--skip-sem" in capsys.readouterr().err
         assert main(["estimate", str(tmp_path / "y.txt"), str(tmp_path / "f.csv"), "--skip-sem"]) == EXIT_OK
+
+    def test_support_of_the_wrong_size_names_the_shape(self, tmp_path, bench_files, capsys):
+        _, f_file = bench_files
+        y_file = write(tmp_path / "y.txt", "1 2 1 1 2 1\n")
+        s_file = tmp_path / "s.csv"
+        io.write_matrix_csv(s_file, np.ones((2, 2), dtype=bool))
+        assert main(["estimate", y_file, f_file, "--support", str(s_file)]) == EXIT_PARSE
+        assert "3 x 3" in capsys.readouterr().err
+
+    def test_exact_zero_in_the_last_column(self, tmp_path, capsys):
+        # 1 -> 4 never occurs; the M-step's exact zero is reported as 0, not
+        # as 1 minus the row's other entries
+        y_file = write(tmp_path / "y.txt", "1 1 2 1 2 1 2 1 2 1 3 4 3 2 4 1\n")
+        ones = tmp_path / "ones.csv"
+        io.write_matrix_csv(ones, np.ones((4, 4), dtype=bool))
+        report = tmp_path / "report.kv"
+        assert main(["estimate", y_file, str(ones), "--out", str(report)]) == EXIT_OK
+        assert io.read_kv_report(report)["estimate.theta.1.4"] == "0"
+
+    def test_printed_report_equals_the_written_one(self, tmp_path, capsys):
+        y_file = write(tmp_path / "y.txt", "1 2 1 1 2 1 1 2 2 1\n")
+        ones = tmp_path / "ones.csv"
+        io.write_matrix_csv(ones, np.ones((2, 2), dtype=bool))
+        report = tmp_path / "report.kv"
+        assert main(["estimate", y_file, str(ones), "--out", str(report)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["estimate", y_file, str(ones)]) == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        written = report.read_text().splitlines()
+        assert "estimate.converged = true" in written
+        assert printed[printed.index("report:") + 1 :] == written
 
     def test_skip_sem_omits_covariances(self, tmp_path, capsys):
         chain = write(tmp_path / "chain.txt", "1 2 1 2 2 1")

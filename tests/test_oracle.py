@@ -21,6 +21,7 @@ from markovfilter import (
     oracle_observed_likelihood,
     transition_counts,
 )
+from markovfilter.filtering import _coverage_failure
 from conftest import random_interior_probs, random_theta
 
 F_DIAG = FilterMatrix(np.array([[1, 0], [0, 1]]))
@@ -71,6 +72,78 @@ class TestEnumerate:
                 for pos, sym in enumerate(y.symbols):
                     if sym is not None:
                         assert chain.states[pos] == sym
+
+
+def loop_completions(y, F, probs, budget):
+    """Reference enumeration, one candidate fill at a time: the chains (as
+    state tuples) and weights that ``enumerate_completions`` must return,
+    in the same order."""
+    k = y.space.k
+    sym = y.symbols
+    blanks = [p for p, s in enumerate(sym) if s is None]
+    if k ** len(blanks) > budget:
+        raise BudgetExceededError("over budget")
+    if _coverage_failure(y, F) is not None:
+        return []
+    last = len(sym) - 1
+    template = [0 if s is None else s for s in sym]
+    found = []
+    for fill in itertools.product(range(1, k + 1), repeat=len(blanks)):
+        states = template.copy()
+        for p, s in zip(blanks, fill):
+            states[p] = s
+        ok = True
+        for p in blanks:
+            if F.bits[states[p - 1] - 1, states[p] - 1]:
+                ok = False
+                break
+            if p < last and F.bits[states[p] - 1, states[p + 1] - 1]:
+                ok = False
+                break
+        if not ok:
+            continue
+        idx = np.asarray(states, dtype=np.intp) - 1
+        weight = float(np.prod(probs[idx[:-1], idx[1:]]))
+        if weight > 0.0:
+            found.append((tuple(states), weight))
+    return found
+
+
+class TestAgainstTheLoop:
+    def test_same_completions_order_weights_and_budget(self):
+        rng = np.random.default_rng(41)
+        consistent = inconsistent = over_budget = 0
+        for case in range(320):
+            k = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 8))
+            probs = random_interior_probs(rng, k)
+            probs[rng.random((k, k)) < 0.15] = 0.0  # some zero-weight paths
+            probs[:, 0] += probs.sum(axis=1) == 0.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            F = FilterMatrix(rng.random((k, k)) < rng.uniform(0.1, 0.9))
+            if case % 2:  # a pattern some chain produces
+                states = tuple(int(s) for s in rng.integers(1, k + 1, n + 1))
+                y = apply_filter(CompleteChain(states, StateSpace(k)), F)
+            else:  # any symbols, mostly inconsistent
+                codes = rng.integers(0, k + 1, n + 1)
+                codes[0] = rng.integers(1, k + 1)
+                y = FilteredChain.from_codes(codes, StateSpace(k))
+            budget = int(rng.choice([4, 30, 10**4]))
+            try:
+                want = loop_completions(y, F, probs, budget)
+            except BudgetExceededError:
+                over_budget += 1
+                with pytest.raises(BudgetExceededError):
+                    enumerate_completions(y, F, probs, budget)
+                continue
+            got = enumerate_completions(y, F, probs, budget).completions
+            assert [c.states for c, _ in got] == [c for c, _ in want]
+            np.testing.assert_allclose([w for _, w in got], [w for _, w in want], rtol=1e-15, atol=0)
+            if want:
+                consistent += 1
+            else:
+                inconsistent += 1
+        assert min(consistent, inconsistent, over_budget) >= 20
 
 
 class TestOracleExpectations:
