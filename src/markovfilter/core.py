@@ -192,13 +192,16 @@ class TransitionMatrix:
 
 def theta_to_probs(theta: np.ndarray, k: int) -> np.ndarray:
     """Expand the free-parameter layout (row-major, last column omitted)
-    into a full k x k matrix with p_ik = 1 - sum of the row's stored entries."""
+    into a full k x k matrix with p_ik = 1 - sum of the row's stored entries,
+    an exact 0 where that is within ``ROW_SUM_TOL`` of 0 (the reading of
+    ``free_coordinates``), so a structural zero there stays zero."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (k * (k - 1),):
         raise ValueError(f"expected {k * (k - 1)} parameters, got shape {theta.shape}")
     probs = np.empty((k, k), dtype=float)
     probs[:, : k - 1] = theta.reshape(k, k - 1)
-    probs[:, k - 1] = 1.0 - probs[:, : k - 1].sum(axis=1)
+    last = 1.0 - probs[:, : k - 1].sum(axis=1)
+    probs[:, k - 1] = np.where(np.abs(last) <= ROW_SUM_TOL, 0.0, last)
     return probs
 
 

@@ -100,7 +100,7 @@ def segment_chain(y: FilteredChain):
     """Split the pattern's transitions into adjacent observed pairs and
     gaps, in chain order; together they cover all n transitions exactly
     once."""
-    observed = y.segments.observed
+    observed = np.flatnonzero(y.codes)
     labels = y.codes[observed]
     step = np.diff(observed)
     pair = step == 1
@@ -122,7 +122,7 @@ def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
     """
     end = gap.next_state
     seg = ChainSegments(
-        S.k, [0], np.zeros((S.k, S.k)), [gap.prev_state - 1], [gap.length],
+        S.k, np.zeros((S.k, S.k)), [gap.prev_state - 1], [gap.length],
         [0 if end is None else end - 1], [end is None], [1.0], [0],
     )
     return CountMatrix(_gap_counts(seg, S.p0)[0])

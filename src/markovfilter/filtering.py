@@ -55,29 +55,43 @@ class FilterMatrix:
         return cls(np.zeros((k, k), dtype=bool))
 
 
+def _pair_codes(codes: np.ndarray, k: int) -> np.ndarray:
+    """Code of each transition t -> t+1 of a filtered chain,
+    ``codes[t] * (k + 1) + codes[t + 1]``: an index into a flattened
+    (k+1) x (k+1) table whose row and column 0 stand for a blank."""
+    return codes[:-1] * (k + 1) + codes[1:]
+
+
+def _pair_table(bits: np.ndarray) -> np.ndarray:
+    """Flattened (k+1) x (k+1) lookup by pair code: ``bits`` where both
+    symbols are observed, False where either is blank."""
+    k = bits.shape[0]
+    table = np.zeros((k + 1, k + 1), dtype=bool)
+    table[1:, 1:] = bits
+    return table.ravel()
+
+
 class ChainSegments:
     """A filtered chain cut into adjacent observed pairs and gaps (maximal
     blank runs), together covering its n transitions once.
 
-    ``observed`` holds the positions of the observed symbols and
-    ``pair_counts`` the k x k tally of adjacent observed pairs. The distinct
-    gap types, a trailing gap included, are arrays in order of first
-    occurrence: 0-based start state ``a``, length ``nu``, 0-based end state
-    ``b`` (0 where ``trail`` marks the gap that ends the chain),
+    ``pair_counts`` is the k x k tally of adjacent observed pairs. The
+    distinct gap types, a trailing gap included, are arrays in order of
+    first occurrence: 0-based start state ``a``, length ``nu``, 0-based end
+    state ``b`` (0 where ``trail`` marks the gap that ends the chain),
     multiplicity ``mult`` and ``first``, the position of the observed start
     of the type's first gap. All arrays are read-only.
     """
 
-    __slots__ = ("k", "observed", "pair_counts", "pair_mask", "a", "nu", "b", "trail", "mult", "first", "nu_max")
+    __slots__ = ("k", "pair_counts", "pair_mask", "a", "nu", "b", "trail", "mult", "first", "nu_max")
 
-    def __init__(self, k, observed, pair_counts, a, nu, b, trail, mult, first):
+    def __init__(self, k, pair_counts, a, nu, b, trail, mult, first):
         def frozen(values, dtype):  # the arrays passed in are new ones
             arr = np.asarray(values, dtype=dtype)
             arr.setflags(write=False)
             return arr
 
         self.k = k
-        self.observed = frozen(observed, np.intp)
         self.pair_counts = frozen(pair_counts, float)
         self.pair_mask = frozen(self.pair_counts > 0, bool)
         self.a = frozen(a, np.intp)
@@ -93,18 +107,18 @@ class ChainSegments:
         """Segment a chain given as codes (1..k observed, 0 blank, first
         symbol observed)."""
         n = len(codes) - 1
-        observed = np.flatnonzero(codes)
-        states = codes[observed] - 1
-        step = np.diff(observed)
-        pair = step == 1
-        src, dst = states[:-1], states[1:]
-        pair_counts = np.bincount(src[pair] * k + dst[pair], minlength=k * k).reshape(k, k)
-        gap = ~pair
-        a, nu, b, first = src[gap], step[gap], dst[gap], observed[:-1][gap]
-        last = observed[-1]
-        if last < n:  # trailing gap, end marked by the code k
-            a, nu = np.append(a, states[-1]), np.append(nu, n - last)
-            b, first = np.append(b, k), np.append(first, last)
+        pair_counts = np.bincount(_pair_codes(codes, k), minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[1:, 1:]
+        # a blank run starts after an observed symbol and ends before one; the
+        # first symbol is observed, so starts and ends alternate from a start
+        blank = codes == 0
+        edges = np.flatnonzero(blank[1:] != blank[:-1])
+        first = edges[0::2]
+        end = edges[1::2] + 1
+        a = codes[first] - 1
+        b = codes[end] - 1
+        nu = end - first[: end.size]
+        if first.size > end.size:  # trailing gap, end marked by the code k
+            nu, b = np.append(nu, n - first[-1]), np.append(b, k)
         key = (a * (n + 1) + nu) * (k + 1) + b
         _, where, mult = np.unique(key, return_index=True, return_counts=True)
         order = np.argsort(where)
@@ -112,7 +126,7 @@ class ChainSegments:
         b = b[types]
         trail = b == k
         return cls(
-            k, observed, pair_counts, a[types], nu[types], np.where(trail, 0, b), trail,
+            k, pair_counts, a[types], nu[types], np.where(trail, 0, b), trail,
             mult[order], first[types],
         )
 
@@ -426,14 +440,11 @@ def _coverage_failure(y: FilteredChain, F: FilterMatrix):
     neighbour, unless it is position 0 or sits next to a blank (the hidden
     neighbour, not the filter, accounts for it then).
     """
-    codes = y.codes
-    obs = codes != 0
-    idx = codes - 1  # -1 at blanks; masked out below
-    rec = F.bits[idx[:-1], idx[1:]] & obs[:-1] & obs[1:]  # per transition
-    # for positions p = 1..n: the right neighbour is observed, or p = n has none
-    right_obs = np.append(obs[2:], True)
-    rec_out = np.append(rec[1:], False)
-    bad = np.flatnonzero(obs[1:] & obs[:-1] & right_obs & ~rec & ~rec_out)
+    # transition t -> t+1 with both ends observed that the filter does not
+    # record; position t+1 fails when the transition out of it is one too,
+    # or when t+1 = n
+    unrecorded = _pair_table(~F.bits)[_pair_codes(y.codes, F.k)]
+    bad = np.flatnonzero(unrecorded & np.append(unrecorded[1:], True))
     return int(bad[0]) + 1 if bad.size else None
 
 
@@ -471,8 +482,7 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
         failures.append((cov, "observed position has no recorded adjacent transition"))
 
     if mask is not None and (seg.pair_mask & ~mask).any():
-        codes = y.codes
-        pairs_off = ~mask[codes[:-1] - 1, codes[1:] - 1] & (codes[:-1] != 0) & (codes[1:] != 0)
+        pairs_off = _pair_table(~mask)[_pair_codes(y.codes, F.k)]
         failures.append((int(np.argmax(pairs_off)), "observed transition off the support"))
 
     if seg.nu.size:

@@ -1,6 +1,15 @@
 """File formats: chains as whitespace-separated state labels, matrices as
 plain CSV (one row per line), filtered chains with a configurable blank
-token, and flat dotted-key reports for machine consumption."""
+token, and flat dotted-key reports for machine consumption.
+
+A chain file is read without a Python object per token when it can be: if
+every token is a single byte (labels 1-9, a one-character blank token,
+ASCII whitespace between), its bytes are translated through a 256-entry
+table. Any other byte, such as a label of 10 or more, ``01``, ``NA``, a
+non-ASCII byte or \x1c-\x1f (separators only for ``str.split``), sends
+the file to a dict lookup per token and, for a token outside the dict, to
+the per-token parser. Which path runs depends only on the file's contents,
+and all three give the same codes and the same error messages."""
 
 from __future__ import annotations
 
@@ -13,13 +22,50 @@ from .errors import FileFormatError
 from .filtering import FilteredChain, FilterMatrix
 
 
+#: The bytes ``bytes.split()`` separates tokens on; ``str.split()`` also
+#: splits on \x1c-\x1f, so a file holding those takes the token path.
+_SPACE = b" \t\n\r\x0b\x0c"
+_NOT_A_TOKEN = 0xFF
+
+
+def _byte_codes(text: str, k: int, blank_token) -> np.ndarray | None:
+    """Codes of a file whose tokens are all one byte, from one translation
+    of its bytes through a 256-entry table; None when some byte is not a
+    one-digit label, the blank token or ASCII whitespace, or two tokens
+    touch."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    table = bytearray([_NOT_A_TOKEN]) * 256
+    for s in range(1, min(k, 9) + 1):
+        table[ord(str(s))] = s
+    if blank_token is not None and len(blank_token) == 1 and blank_token.isascii() and not blank_token.isspace():
+        table[ord(blank_token)] = 0  # wins over a label
+    for byte in _SPACE:
+        table[byte] = ord(" ")
+    mapped = raw.translate(table)
+    if _NOT_A_TOKEN in mapped:
+        return None
+    token = np.frombuffer(mapped, dtype=np.uint8) <= 9
+    if (token[1:] & token[:-1]).any():
+        return None
+    return np.frombuffer(mapped.translate(None, b" "), dtype=np.uint8).astype(np.intp)
+
+
 def _read_codes(path: Path, k: int, blank_token=None) -> np.ndarray:
     """The file's tokens as integer codes: state labels 1..k map to
     themselves and ``blank_token`` (when given; it wins over a label) to 0.
-    One dict lookup per token; a token outside that table sends the file
+
+    A file of one-byte tokens goes through ``_byte_codes``; otherwise one
+    dict lookup per token, and a token outside that dict sends the file
     through the per-token parser, which accepts any ``int()`` spelling of a
     label and names the first bad token by position."""
-    tokens = path.read_text().split()
+    text = path.read_text()
+    codes = _byte_codes(text, k, blank_token)
+    if codes is not None:
+        return codes
+    tokens = text.split()
     table = {str(s): s for s in range(1, k + 1)}
     if blank_token is not None:
         table[blank_token] = 0

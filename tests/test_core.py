@@ -233,11 +233,20 @@ class TestFreeCoordinates:
 
     def test_rounding_in_the_last_column_is_zero(self):
         # 1 - (1/6 + 4/6 + 1/6) is 1.1e-16 in floating point
-        theta = np.r_[[1 / 6, 4 / 6, 1 / 6], np.full(9, 0.25)]
-        probs = ParamVector(theta, StateSpace(4)).to_probs()
+        probs = np.full((4, 4), 0.25)
+        probs[0] = 1 / 6, 4 / 6, 1 / 6, 1.0 - (1 / 6 + 4 / 6 + 1 / 6)
         assert probs[0, 3] > 0.0
         free, _ = free_coordinates(probs)
         np.testing.assert_array_equal(free, [0, 1, *range(3, 12)])
+
+    def test_to_probs_writes_that_rounding_as_zero(self):
+        theta = np.r_[[1 / 6, 4 / 6, 1 / 6], np.full(9, 0.25)]
+        probs = ParamVector(theta, StateSpace(4)).to_probs()
+        assert probs[0, 3] == 0.0
+        np.testing.assert_array_equal(probs[1:, 3], 0.25)
+        support = np.ones((4, 4), dtype=bool)
+        support[0, 3] = False
+        TransitionMatrix.from_probs(probs, support)  # no mass on the structural zero
 
 
 class TestEmbedding:

@@ -139,7 +139,6 @@ class TestSegment:
         assert segment_chain(y) == (pairs, gaps)
 
         seg = y.segments
-        np.testing.assert_array_equal(seg.observed, observed)
         np.testing.assert_array_equal(seg.pair_counts, tally)
         got = [
             (a + 1, nu, None if trail else b + 1)
@@ -408,6 +407,17 @@ class TestRunEm:
         grid_theta, grid_ll = grid_refine_maximize(y, F)
         assert np.max(np.abs(result.theta_hat.theta - grid_theta)) < 2e-3
         assert result.final_observed_loglik >= grid_ll - 1e-9
+
+    def test_theta_hat_keeps_an_exact_zero_in_the_last_column(self):
+        # 1 -> 4 never occurs; theta_hat's rebuilt last column must not leave
+        # 1 minus the row's other entries (1.1e-16) on that structural zero
+        y = FilteredChain.from_codes([1, 1, 2, 1, 2, 1, 2, 1, 2, 1, 3, 4, 3, 2, 4, 1], StateSpace(4))
+        fit = run_em(y, FilterMatrix.all_ones(4))
+        probs = fit.theta_hat.to_probs()
+        assert probs[0, 3] == 0.0
+        support = np.ones((4, 4), dtype=bool)
+        support[0, 3] = False
+        np.testing.assert_array_equal(fit.theta_hat.to_matrix(support).probs, probs)
 
     def test_loglik_never_decreases(self, bench_matrix, bench_filter):
         chain = simulate_chain(bench_matrix, 1, 400, seed=3)

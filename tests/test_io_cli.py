@@ -147,6 +147,26 @@ class TestReadFilteredChain:
         assert y.symbols == symbols
         assert y.codes.dtype == np.intp
 
+    @pytest.mark.parametrize(
+        "text, k, blank, codes",
+        [
+            (" 1 - 2\t3\r\n-\x0b9\x0c", 9, "-", [1, 0, 2, 3, 0, 9]),
+            ("2 1 3\n1", 3, "1", [2, 0, 3, 0]),
+            ("1 2", 3, None, [1, 2]),
+            ("1 - 2", 3, " ", None),  # a blank token the split never yields
+            ("1 -- 2", 3, "-", None),  # tokens of two bytes
+            ("01 2", 3, "-", None),
+            ("1 10", 12, "-", None),
+            ("1 NA 2", 3, "NA", None),
+            ("1 4", 3, "-", None),  # a digit that is no label
+            ("1\x1c2", 3, "-", None),  # a separator only for str.split
+            ("1\xa02", 3, "-", None),  # not ASCII
+        ],
+    )
+    def test_byte_table_takes_only_one_byte_tokens(self, text, k, blank, codes):
+        got = io._byte_codes(text, k, blank)
+        assert got is None if codes is None else got.tolist() == codes
+
     def test_chain_reader_names_the_token(self, tmp_path):
         path = tmp_path / "chain.txt"
         write(path, "1 2 - 1\n")

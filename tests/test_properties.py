@@ -1,6 +1,7 @@
 """Property-based checks of the E-step, the observed log-likelihood and the
-consistency check against the enumeration oracles, and of the EM fit and its
-Jacobian, on random parameters, filters, supports and chains."""
+consistency check against the enumeration oracles, of the EM fit and its
+Jacobian, on random parameters, filters, supports and chains, and of the
+chain reader and the segmentation against per-token and per-position loops."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from markovfilter import (
     CompleteChain,
     ConsistencyError,
+    FileFormatError,
     FilteredChain,
     FilterMatrix,
     StateSpace,
@@ -34,6 +36,8 @@ from markovfilter import (
     transition_counts,
     validate_consistency,
 )
+from markovfilter import io
+from markovfilter.filtering import _coverage_failure
 from test_sem import fd_hessian, moved
 
 
@@ -84,6 +88,17 @@ def patterns(draw):
     return P, F, support, FilteredChain(tuple(symbols), StateSpace(k))
 
 
+def uncovered(symbols, bits, p) -> bool:
+    """Whether observed position p > 0, away from blanks, has no recorded
+    transition to or from a neighbour."""
+    n = len(symbols) - 1
+    left, s = symbols[p - 1], symbols[p]
+    right = symbols[p + 1] if p < n else None
+    if left is None or (p < n and right is None):
+        return False
+    return not bits[left - 1, s - 1] and not (right is not None and bits[s - 1, right - 1])
+
+
 def first_failure(symbols, bits, support):
     """(position, rule) of the first position that breaks a consistency
     rule, scanning the pattern one position at a time; None if none does."""
@@ -92,11 +107,9 @@ def first_failure(symbols, bits, support):
     n = len(symbols) - 1
     for p, s in enumerate(symbols):
         if s is not None:
-            left = symbols[p - 1] if p > 0 else None
             right = symbols[p + 1] if p < n else None
-            if left is not None and (p == n or right is not None):
-                if not bits[left - 1, s - 1] and not (right is not None and bits[s - 1, right - 1]):
-                    return p, "observed position has no recorded adjacent transition"
+            if p > 0 and uncovered(symbols, bits, p):
+                return p, "observed position has no recorded adjacent transition"
             if right is not None and not support[s - 1, right - 1]:
                 return p, "observed transition off the support"
         elif symbols[p - 1] is not None:  # the first blank of a gap
@@ -253,3 +266,122 @@ def test_em_log_likelihood_never_decreases(case):
     _, _, fit = case
     trace = np.array(fit.loglik_trace)
     assert np.all(np.diff(trace) >= -1e-12 * np.abs(trace[1:]))
+
+
+#: Whitespace between tokens; \x1c-\x1f separate tokens for ``str.split``
+#: but are not ASCII whitespace.
+SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", "\r", " \t ", "\x0b", "\x0c", "\x1c", "\x1f")
+BAD_TOKENS = ("0", "x", "13", "1.5", "--", "1-", "N", "+", "?!")
+
+
+@st.composite
+def chain_files(draw):
+    """(text, k, blank): a filtered chain of k in 2..12 states written with
+    mixed separators, leading and trailing whitespace and sometimes no final
+    newline; some labels are spelled with a leading zero and some tokens are
+    bad. ``blank`` None stands for a complete chain."""
+    k = draw(st.integers(2, 12))
+    blank = draw(st.sampled_from([None, "-", "?", "NA", "1"]))
+    label = st.integers(1, k).map(str)
+    kinds = [label, label] + ([] if blank is None else [st.just(blank)])
+    if draw(st.booleans()):  # other spellings
+        kinds += [st.integers(1, k).map(lambda s: f"0{s}"), st.sampled_from(BAD_TOKENS)]
+    tokens = draw(st.lists(st.one_of(kinds), max_size=30))
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = seps[0] * draw(st.booleans()) + "".join(s + t for s, t in zip(seps[1:], tokens))
+    return text + draw(st.sampled_from(["", "\n", " \n", "\t"])), k, blank
+
+
+def reference_read(text, k, blank):
+    """Codes, or the error message, of the reader's rules applied one token
+    at a time."""
+    expected = "not a state label" if blank is None else f"neither a state nor {blank!r}"
+    codes = []
+    for pos, tok in enumerate(text.split()):
+        if tok == blank:
+            codes.append(0)
+            continue
+        try:
+            state = int(tok)
+        except ValueError:
+            return f"token {pos + 1} ({tok!r}) is {expected}"
+        if not 1 <= state <= k:
+            return f"token {pos + 1}: state {state} outside 1..{k}"
+        codes.append(state)
+    if blank is None:
+        return codes if len(codes) >= 2 else "a chain file needs at least two states"
+    if not codes:
+        return "empty filtered chain"
+    if len(codes) < 2:
+        return "a filtered chain needs at least two symbols"
+    return codes if codes[0] else "the initial state must be observed"
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=chain_files())
+def test_reader_matches_the_per_token_rules(case, tmp_path_factory):
+    text, k, blank = case
+    path = tmp_path_factory.getbasetemp() / "chain.txt"
+    path.write_bytes(text.encode("ascii"))
+    expected = reference_read(text, k, blank)
+    try:
+        if blank is None:
+            codes = io.read_chain(path, k).as_indices() + 1
+        else:
+            codes = io.read_filtered_chain(path, k, blank).codes
+    except FileFormatError as err:
+        assert str(err) == f"{path}: {expected}"
+    else:
+        assert codes.dtype == np.intp
+        assert codes.tolist() == expected
+
+
+@st.composite
+def segmented_chains(draw):
+    """(y, F): a filtered chain on k in 2..8 states built from observed
+    symbols and blank runs of 1 to 5, with no blank, or blank after
+    position 0, and any filter."""
+    k = draw(st.integers(2, 8))
+    label = st.integers(1, k)
+    style = draw(st.sampled_from(["runs", "runs", "no blank", "blank after 0"]))
+    symbols = [draw(label)]
+    if style == "blank after 0":
+        symbols += [None] * draw(st.integers(1, 12))
+    elif style == "no blank":
+        symbols += draw(st.lists(label, min_size=1, max_size=12))
+    else:
+        run = st.integers(1, 5).map(lambda m: [None] * m)
+        for part in draw(st.lists(label.map(lambda s: [s]) | run, min_size=1, max_size=20)):
+            symbols += part
+    F = FilterMatrix(np.reshape(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)), (k, k)))
+    return FilteredChain(tuple(symbols), StateSpace(k)), F
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(segmented_chains())
+def test_segments_and_coverage_match_a_loop(case):
+    y, F = case
+    k, symbols = y.space.k, y.symbols
+    n = len(symbols) - 1
+    tally, types = np.zeros((k, k)), {}
+    observed = [p for p, s in enumerate(symbols) if s is not None]
+    for p, q in zip(observed, observed[1:] + [n]):
+        if q == p + 1 and symbols[q] is not None:
+            tally[symbols[p] - 1, symbols[q] - 1] += 1
+        elif q > p:  # a gap; it ends the chain when symbols[q] is blank
+            key = (symbols[p] - 1, q - p, symbols[q] and symbols[q] - 1)
+            first, mult = types.get(key, (p, 0))
+            types[key] = (first, mult + 1)
+
+    seg = y.segments
+    np.testing.assert_array_equal(seg.pair_counts, tally)
+    assert seg.pair_counts.dtype == float and seg.mult.dtype == float
+    assert all(arr.dtype == np.intp for arr in (seg.a, seg.nu, seg.b, seg.first))
+    got = zip(seg.a.tolist(), seg.nu.tolist(), seg.b.tolist(), seg.trail.tolist())
+    assert [(a, nu, None if trail else b) for a, nu, b, trail in got] == list(types)
+    assert seg.b[seg.trail].tolist() == [0] * int(seg.trail.sum())
+    assert seg.first.tolist() == [f for f, _ in types.values()]
+    assert seg.mult.tolist() == [m for _, m in types.values()]
+    assert seg.nu_max == max((nu for _, nu, _ in types), default=0)
+    expected = next((p for p in observed[1:] if uncovered(symbols, F.bits, p)), None)
+    assert _coverage_failure(y, F) == expected
