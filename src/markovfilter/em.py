@@ -34,7 +34,7 @@ from .core import (
     support_mask,
 )
 from .errors import NonFiniteError, ZeroDenominatorError
-from .filtering import ChainSegments, FilteredChain, FilterMatrix, validate_consistency
+from .filtering import ChainSegments, FilteredChain, FilterMatrix, _gaps, validate_consistency
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,12 @@ def segment_chain(y: FilteredChain):
     """Split the pattern's transitions into adjacent observed pairs and
     gaps, in chain order; together they cover all n transitions exactly
     once."""
-    observed = np.flatnonzero(y.codes)
-    labels = y.codes[observed]
-    step = np.diff(observed)
-    pair = step == 1
-    src, dst = labels[:-1], labels[1:]
-    pairs = list(zip(src[pair].tolist(), dst[pair].tolist()))
-    gap = ~pair
-    gaps = list(map(GapSegment, src[gap].tolist(), step[gap].tolist(), dst[gap].tolist()))
-    if observed[-1] < y.n_transitions:
-        gaps.append(GapSegment(int(labels[-1]), y.n_transitions - int(observed[-1]), None))
-    return pairs, gaps
+    codes, k = y.codes, y.space.k
+    pair = (codes[:-1] != 0) & (codes[1:] != 0)
+    pairs = list(zip(codes[:-1][pair].tolist(), codes[1:][pair].tolist()))
+    _, a, nu, b = _gaps(codes, k)
+    ends = [None if j == k else j + 1 for j in b.tolist()]
+    return pairs, list(map(GapSegment, (a + 1).tolist(), nu.tolist(), ends))
 
 
 def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
@@ -183,13 +178,6 @@ def _loglik(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray, masses=None
     return float(pairs) + float(seg.mult @ np.log(masses))
 
 
-def _em_map(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):
-    """One EM iteration from ``probs``: (next probabilities, observed
-    log-likelihood at ``probs``)."""
-    counts, loglik = _expected_counts(seg, probs, bits)
-    return _normalize_rows(counts), loglik
-
-
 def _em_update(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The EM map alone, without the log-likelihood; complex ``probs``
     give complex next probabilities."""
@@ -249,7 +237,8 @@ def run_em(
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        new_probs, loglik = _em_map(seg, probs, F.bits)
+        counts, loglik = _expected_counts(seg, probs, F.bits)
+        new_probs = _normalize_rows(counts)
         if not np.isfinite(loglik):
             raise NonFiniteError("observed log-likelihood is not finite")
         trace.append(loglik)

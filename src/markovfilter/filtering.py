@@ -55,20 +55,43 @@ class FilterMatrix:
         return cls(np.zeros((k, k), dtype=bool))
 
 
-def _pair_codes(codes: np.ndarray, k: int) -> np.ndarray:
-    """Code of each transition t -> t+1 of a filtered chain,
-    ``codes[t] * (k + 1) + codes[t + 1]``: an index into a flattened
-    (k+1) x (k+1) table whose row and column 0 stand for a blank."""
-    return codes[:-1] * (k + 1) + codes[1:]
-
-
 def _pair_table(bits: np.ndarray) -> np.ndarray:
-    """Flattened (k+1) x (k+1) lookup by pair code: ``bits`` where both
-    symbols are observed, False where either is blank."""
+    """(k+1) x (k+1) lookup by a pair of codes: ``bits`` where both symbols
+    are observed, False where either is blank."""
     k = bits.shape[0]
     table = np.zeros((k + 1, k + 1), dtype=bool)
     table[1:, 1:] = bits
-    return table.ravel()
+    return table
+
+
+def _revealed(states: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Which positions of chains of 0-based ``states`` (along the last
+    axis) the filter ``bits`` reveals: position 0, and each end of a
+    recorded transition. The one rule for what a filter leaves observed."""
+    recorded = bits.ravel()[states[..., :-1] * bits.shape[1] + states[..., 1:]]
+    revealed = np.empty(states.shape, dtype=bool)
+    revealed[..., 0] = True
+    revealed[..., 1:] = recorded
+    revealed[..., :-1] |= recorded
+    return revealed
+
+
+def _gaps(codes: np.ndarray, k: int):
+    """Every gap of a chain given as codes (first symbol observed), in chain
+    order, as arrays: the position ``first`` of its observed start, 0-based
+    start state ``a``, length ``nu`` and 0-based end state ``b``, which is k
+    for a gap that ends the chain."""
+    # a blank run starts after an observed symbol and ends before one; the
+    # first symbol is observed, so starts and ends alternate from a start
+    blank = codes == 0
+    edges = np.flatnonzero(blank[1:] != blank[:-1])
+    first = edges[0::2]
+    end = edges[1::2] + 1
+    b = codes[end] - 1
+    nu = end - first[: end.size]
+    if first.size > end.size:  # trailing gap
+        nu, b = np.append(nu, len(codes) - 1 - first[-1]), np.append(b, k)
+    return first, codes[first] - 1, nu, b
 
 
 class ChainSegments:
@@ -107,18 +130,10 @@ class ChainSegments:
         """Segment a chain given as codes (1..k observed, 0 blank, first
         symbol observed)."""
         n = len(codes) - 1
-        pair_counts = np.bincount(_pair_codes(codes, k), minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[1:, 1:]
-        # a blank run starts after an observed symbol and ends before one; the
-        # first symbol is observed, so starts and ends alternate from a start
-        blank = codes == 0
-        edges = np.flatnonzero(blank[1:] != blank[:-1])
-        first = edges[0::2]
-        end = edges[1::2] + 1
-        a = codes[first] - 1
-        b = codes[end] - 1
-        nu = end - first[: end.size]
-        if first.size > end.size:  # trailing gap, end marked by the code k
-            nu, b = np.append(nu, n - first[-1]), np.append(b, k)
+        # tally pairs by code pair in a (k+1) x (k+1) table; code 0 is a blank
+        pairs = codes[:-1] * (k + 1) + codes[1:]
+        pair_counts = np.bincount(pairs, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[1:, 1:]
+        first, a, nu, b = _gaps(codes, k)
         key = (a * (n + 1) + nu) * (k + 1) + b
         _, where, mult = np.unique(key, return_index=True, return_counts=True)
         order = np.argsort(where)
@@ -147,22 +162,26 @@ class FilteredChain(_ArrayChain):
     def __init__(self, symbols, space: StateSpace):
         symbols = tuple(symbols)
         blank = np.array([s is None for s in symbols], dtype=bool)
-        self._check(_labels([0 if s is None else s for s in symbols]), blank, space)
+        self._check(_labels([0 if s is None else s for s in symbols]), space, blank)
 
     @classmethod
     def from_codes(cls, codes, space: StateSpace) -> "FilteredChain":
         """Chain from codes: 1..k for observed states, 0 for blanks."""
-        codes = _labels(codes)
         y = cls.__new__(cls)
-        y._check(codes, codes == 0, space)
+        y._check(_labels(codes), space)
         return y
 
-    def _check(self, codes: np.ndarray, blank: np.ndarray, space: StateSpace) -> None:
+    def _check(self, codes: np.ndarray, space: StateSpace, blank=None) -> None:
+        """Validate and take ``codes``; ``blank`` marks the blanks when an
+        explicit 0 is not one but a state out of range."""
         if len(codes) < 2:
             raise ValueError("a filtered chain needs at least two symbols")
-        if blank[0]:
+        if (codes[0] == 0) if blank is None else blank[0]:
             raise ValueError("the initial state must be observed")
-        _out_of_range(codes, ~blank & ((codes < 1) | (codes > space.k)), space.k)
+        bad = (codes < 0) | (codes > space.k)
+        if blank is not None:
+            bad |= (codes == 0) & ~blank
+        _out_of_range(codes, bad, space.k)
         self._set(codes, space)
 
     def _set(self, codes: np.ndarray, space: StateSpace) -> None:
@@ -236,17 +255,14 @@ def apply_filter(x: CompleteChain, F: FilterMatrix) -> FilteredChain:
     if F.k != x.space.k:
         raise ValueError(f"filter is {F.k}x{F.k} but the chain has k={x.space.k}")
     idx = x.as_indices()
-    recorded = F.bits[idx[:-1], idx[1:]]
-    observed = np.append(True, recorded)  # recorded into p (p = 0 always)
-    observed[:-1] |= recorded  # or recorded out of p
-    return FilteredChain._of(np.where(observed, idx + 1, 0), x.space)
+    return FilteredChain._of(np.where(_revealed(idx, F.bits), idx + 1, 0), x.space)
 
 
 def classify_transitions(x: CompleteChain, F: FilterMatrix) -> dict:
     """Classify every transition occurring in x as directly recorded
     (f_ij = 1), indirectly recorded (f_ij = 0 but both endpoints of some
     occurrence survive filtering), or unobserved."""
-    observed = (apply_filter(x, F).codes != 0).tolist()
+    observed = _revealed(x.as_indices(), F.bits).tolist()
     states = x.states
     out: dict = {}
     for t in range(x.n_transitions):
@@ -436,16 +452,14 @@ def identifiability_verdict(F: FilterMatrix, support=None) -> IdentifiabilityVer
 def _coverage_failure(y: FilteredChain, F: FilterMatrix):
     """First observed position that no complete chain can explain, or None.
 
-    An observed position needs a recorded transition to or from an observed
-    neighbour, unless it is position 0 or sits next to a blank (the hidden
-    neighbour, not the filter, accounts for it then).
+    An observed position p >= 1 needs a recorded transition to or from an
+    observed neighbour: a transition into or out of a blank is never
+    recorded, so a blank neighbour cannot reveal it. This is ``_revealed``
+    read on the codes, with a blank's transitions unrecorded.
     """
-    # transition t -> t+1 with both ends observed that the filter does not
-    # record; position t+1 fails when the transition out of it is one too,
-    # or when t+1 = n
-    unrecorded = _pair_table(~F.bits)[_pair_codes(y.codes, F.k)]
-    bad = np.flatnonzero(unrecorded & np.append(unrecorded[1:], True))
-    return int(bad[0]) + 1 if bad.size else None
+    codes = y.codes
+    bad = np.flatnonzero((codes != 0) & ~_revealed(codes, _pair_table(F.bits)))
+    return int(bad[0]) if bad.size else None
 
 
 def _reach_table(edges: np.ndarray, nu_max: int) -> np.ndarray:
@@ -461,11 +475,12 @@ def _reach_table(edges: np.ndarray, nu_max: int) -> np.ndarray:
 
 
 def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> None:
-    """Raise ConsistencyError unless some complete chain produces ``y``.
+    """Raise ConsistencyError unless some complete chain on the support
+    produces ``y`` under ``apply_filter``.
 
-    Checks: every observed position away from blanks has a recorded
-    adjacent transition (or is position 0); with a support mask, observed
-    adjacent pairs lie on the support; every gap is spanned by an
+    Checks: every observed position but position 0 has a recorded
+    transition to or from an observed neighbour; with a support mask,
+    observed adjacent pairs lie on the support; every gap is spanned by an
     unrecorded path through the support graph (every transition when the
     support is None); trailing blanks admit at least one all-unrecorded
     continuation of the right length. The failure reported is the one at
@@ -482,7 +497,7 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
         failures.append((cov, "observed position has no recorded adjacent transition"))
 
     if mask is not None and (seg.pair_mask & ~mask).any():
-        pairs_off = _pair_table(~mask)[_pair_codes(y.codes, F.k)]
+        pairs_off = _pair_table(~mask)[y.codes[:-1], y.codes[1:]]
         failures.append((int(np.argmax(pairs_off)), "observed transition off the support"))
 
     if seg.nu.size:

@@ -2,9 +2,11 @@
 
 These realize the conditional expectations and observed likelihoods by
 explicit enumeration so the analytic engines can be checked against them at
-desk scale. They refuse (raise) rather than degrade when an enumeration
-would exceed its budget; they are correctness instruments, not a
-performance path.
+desk scale. A completion of a pattern is a chain the filter maps to it, by
+the filter's own rule ``filtering._revealed``; the oracles share no code
+with the consistency check, so they are its ground truth. They refuse
+(raise) rather than degrade when an enumeration would exceed its budget;
+they are correctness instruments, not a performance path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .core import CompleteChain, CountMatrix, _as_probs
 from .errors import BudgetExceededError, EmptyCompletionSetError
-from .filtering import FilteredChain, FilterMatrix, _coverage_failure
+from .filtering import FilteredChain, FilterMatrix, _revealed
 
 DEFAULT_BUDGET = 10**6
 
@@ -53,12 +55,10 @@ def _completions(y: FilteredChain, F: FilterMatrix, P, budget: int):
     m = k**blanks.size
     if m > budget:
         raise BudgetExceededError(f"{m} candidate completions exceed the budget {budget}")
-    if _coverage_failure(y, F) is not None:
-        return np.empty((0, len(codes)), dtype=np.intp), np.empty(0)
     chains = np.repeat(codes[None, :] - 1, m, axis=0)
     chains[:, blanks] = _fills(k, blanks.size)
-    touched = np.flatnonzero((codes[:-1] == 0) | (codes[1:] == 0))  # transitions next to a blank
-    chains = chains[~F.bits[chains[:, touched], chains[:, touched + 1]].any(axis=1)]
+    # a candidate matches when the filter reveals exactly the observed positions
+    chains = chains[(_revealed(chains, F.bits) == (codes != 0)).all(axis=1)]
     weights = probs[chains[:, :-1], chains[:, 1:]].prod(axis=1)
     keep = weights > 0.0
     return chains[keep], weights[keep]
@@ -69,10 +69,9 @@ def enumerate_completions(
 ) -> CompletionSet:
     """Every chain that matches the pattern, weighted by its path probability.
 
-    A chain matches when it agrees with the observed states, keeps every
-    blank position blank under the filter, and the pattern's observed
-    positions away from blanks are themselves explainable (position 0 or a
-    recorded adjacent transition). Chains of probability zero are dropped.
+    A chain matches when the filter maps it to the pattern: it agrees with
+    the observed states, and the filter reveals exactly the observed
+    positions. Chains of probability zero are dropped.
     """
     chains, weights = _completions(y, F, P, budget)
     return CompletionSet(
@@ -115,12 +114,7 @@ def _pattern_ids(k: int, length: int, initial: int, bits_bytes: bytes):
     group index of every chain."""
     bits = np.frombuffer(bits_bytes, dtype=bool).reshape(k, k)
     table = _chain_table(k, length, initial)
-    rec = bits[table[:, :-1], table[:, 1:]]
-    observed = np.zeros(table.shape, dtype=bool)
-    observed[:, 0] = True
-    observed[:, 1:] |= rec
-    observed[:, :-1] |= rec
-    encoded = np.where(observed, table + 1, 0).astype(np.int8)
+    encoded = np.where(_revealed(table, bits), table + 1, 0).astype(np.int8)
     _, ids = np.unique(encoded, axis=0, return_inverse=True)
     ids = np.ascontiguousarray(ids.reshape(-1))
     ids.setflags(write=False)

@@ -158,9 +158,11 @@ class TestGapCounts:
 
     @pytest.mark.parametrize("target", [2, 3])
     def test_bench_gaps_match_enumeration(self, target, bench_matrix, bench_filter):
+        # the recorded step target -> 1 reveals the gap's end
         S = split_p(bench_matrix, bench_filter)
-        inc = gap_expected_counts(GapSegment(3, 2, target), S).counts
-        y = FilteredChain((3, None, target), StateSpace(3))
+        inc = gap_expected_counts(GapSegment(3, 2, target), S).counts.copy()
+        inc[target - 1, 0] += 1
+        y = FilteredChain((3, None, target, 1), StateSpace(3))
         oracle = oracle_expected_counts(y, bench_filter, bench_matrix).counts
         np.testing.assert_allclose(inc, oracle, atol=1e-12)
 

@@ -38,6 +38,16 @@ def random_chain(rng, k, n):
     return CompleteChain(states, StateSpace(k))
 
 
+def filtered_images(F, support, n):
+    """The symbols of every pattern ``apply_filter`` makes from a chain of
+    n transitions on the support (any chain when it is None)."""
+    images = set()
+    for states in itertools.product(range(1, F.k + 1), repeat=n + 1):
+        if support is None or all(support[i - 1, j - 1] for i, j in zip(states, states[1:])):
+            images.add(apply_filter(CompleteChain(states, StateSpace(F.k)), F).symbols)
+    return images
+
+
 class TestApplyFilter:
     def test_worked_example_golden(self, worked_chain, worked_filter):
         y = apply_filter(worked_chain, worked_filter)
@@ -354,8 +364,11 @@ class TestConsistency:
 
     def test_gap_with_a_completion_is_ok(self):
         F = FilterMatrix(np.array([[1, 0], [0, 1]]))
-        y = FilteredChain((1, None, 1), StateSpace(2))
-        validate_consistency(y, F)
+        validate_consistency(FilteredChain((1, None, 1, 1), StateSpace(2)), F)
+        # the gap 1 -> 2 -> 1 is unrecorded, so nothing reveals the last 1
+        with pytest.raises(ConsistencyError) as err:
+            validate_consistency(FilteredChain((1, None, 1), StateSpace(2)), F)
+        assert err.value.position == 2
 
     def test_unreachable_gap(self):
         # both self loops recorded: no unrecorded 2-step path 1 -> 1 exists
@@ -380,6 +393,31 @@ class TestConsistency:
         y = FilteredChain((2, None), StateSpace(2))
         with pytest.raises(ConsistencyError):
             validate_consistency(y, F)
+
+    def test_accepts_exactly_the_filtered_images(self):
+        # by definition a pattern is consistent when some chain filters to it
+        no_corner = np.array([[1, 1], [1, 0]], dtype=bool)
+        cases = [
+            (FilterMatrix(np.reshape(bits, (2, 2))), support, 5)
+            for bits in itertools.product((0, 1), repeat=4)
+            for support in (None, no_corner)
+        ]
+        rng = np.random.default_rng(29)
+        cases += [(FilterMatrix(rng.random((3, 3)) < 0.5), None, 3) for _ in range(8)]
+        wrong = []
+        for F, support, n_max in cases:
+            labels = range(1, F.k + 1)
+            for n in range(1, n_max + 1):
+                images = filtered_images(F, support, n)
+                for symbols in itertools.product(labels, *[(None, *labels)] * n):
+                    try:
+                        validate_consistency(FilteredChain(symbols, StateSpace(F.k)), F, support)
+                        accepted = True
+                    except ConsistencyError:
+                        accepted = False
+                    if accepted != (symbols in images):
+                        wrong.append((F.bits.astype(int).tolist(), support is not None, symbols))
+        assert not wrong, f"{len(wrong)} patterns misjudged, first {wrong[:3]}"
 
     def test_agrees_with_enumeration(self):
         rng = np.random.default_rng(41)

@@ -310,6 +310,15 @@ class TestEstimateCommand:
         assert code == EXIT_CONSISTENCY
         assert "hint" in capsys.readouterr().err
 
+    def test_unrevealed_observed_state_exits_consistency(self, tmp_path, capsys):
+        # under the diagonal filter the gap 1 -> 2 -> 1 is unrecorded, so no
+        # chain reveals the last 1
+        y_file = write(tmp_path / "y.txt", "1 - 1\n")
+        f_file = tmp_path / "f.csv"
+        io.write_matrix_csv(f_file, np.eye(2).astype(bool))
+        assert main(["estimate", str(y_file), str(f_file)]) == EXIT_CONSISTENCY
+        assert "position 2" in capsys.readouterr().err
+
     def test_bench_run_produces_finite_report(self, tmp_path, bench_files, capsys):
         p_file, f_file = bench_files
         chain_file = tmp_path / "chain.txt"

@@ -21,7 +21,6 @@ from markovfilter import (
     oracle_observed_likelihood,
     transition_counts,
 )
-from markovfilter.filtering import _coverage_failure
 from conftest import random_interior_probs, random_theta
 
 F_DIAG = FilterMatrix(np.array([[1, 0], [0, 1]]))
@@ -34,12 +33,15 @@ def p_two_state():
 
 class TestEnumerate:
     def test_forced_gap_has_one_completion(self, p_two_state):
-        y = FilteredChain((1, None, 1), StateSpace(2))
+        y = FilteredChain((1, None, 1, 1), StateSpace(2))
         cs = enumerate_completions(y, F_DIAG, p_two_state)
         assert len(cs) == 1
         chain, weight = cs.completions[0]
-        assert chain.states == (1, 2, 1)
-        assert weight == pytest.approx(0.3 * 0.4)
+        assert chain.states == (1, 2, 1, 1)
+        assert weight == pytest.approx(0.3 * 0.4 * 0.7)
+        # (1, 2, 1) filters to 1 - -: no chain reveals the last 1 of 1 - 1
+        y = FilteredChain((1, None, 1), StateSpace(2))
+        assert len(enumerate_completions(y, F_DIAG, p_two_state)) == 0
 
     def test_no_blanks_single_completion(self, p_two_state):
         y = FilteredChain((1, 1, 2), StateSpace(2))
@@ -83,24 +85,18 @@ def loop_completions(y, F, probs, budget):
     blanks = [p for p, s in enumerate(sym) if s is None]
     if k ** len(blanks) > budget:
         raise BudgetExceededError("over budget")
-    if _coverage_failure(y, F) is not None:
-        return []
     last = len(sym) - 1
+    observed = [s is not None for s in sym]
     template = [0 if s is None else s for s in sym]
     found = []
     for fill in itertools.product(range(1, k + 1), repeat=len(blanks)):
         states = template.copy()
         for p, s in zip(blanks, fill):
             states[p] = s
-        ok = True
-        for p in blanks:
-            if F.bits[states[p - 1] - 1, states[p] - 1]:
-                ok = False
-                break
-            if p < last and F.bits[states[p] - 1, states[p + 1] - 1]:
-                ok = False
-                break
-        if not ok:
+        # the filter must reveal exactly the observed positions
+        rec = [bool(F.bits[i - 1, j - 1]) for i, j in zip(states, states[1:])]
+        revealed = [p == 0 or rec[p - 1] or (p < last and rec[p]) for p in range(last + 1)]
+        if revealed != observed:
             continue
         idx = np.asarray(states, dtype=np.intp) - 1
         weight = float(np.prod(probs[idx[:-1], idx[1:]]))
@@ -148,9 +144,11 @@ class TestAgainstTheLoop:
 
 class TestOracleExpectations:
     def test_forced_gap_counts(self, p_two_state):
-        y = FilteredChain((1, None, 1), StateSpace(2))
+        y = FilteredChain((1, None, 1, 1), StateSpace(2))
         counts = oracle_expected_counts(y, F_DIAG, p_two_state).counts
-        np.testing.assert_allclose(counts, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(counts, [[1.0, 1.0], [1.0, 0.0]], atol=1e-15)
+        with pytest.raises(EmptyCompletionSetError):
+            oracle_expected_counts(FilteredChain((1, None, 1), StateSpace(2)), F_DIAG, p_two_state)
 
     def test_full_observation_recovers_counts(self, p_two_state):
         chain = CompleteChain((1, 2, 2, 1), StateSpace(2))
@@ -166,8 +164,10 @@ class TestOracleExpectations:
 
 class TestOracleLikelihood:
     def test_forced_gap_weight(self, p_two_state):
+        y = FilteredChain((1, None, 1, 1), StateSpace(2))
+        assert oracle_observed_likelihood(y, F_DIAG, p_two_state) == pytest.approx(0.084)
         y = FilteredChain((1, None, 1), StateSpace(2))
-        assert oracle_observed_likelihood(y, F_DIAG, p_two_state) == pytest.approx(0.12)
+        assert oracle_observed_likelihood(y, F_DIAG, p_two_state) == 0.0
 
     def test_full_observation_is_the_path_probability(self, p_two_state):
         y = FilteredChain((1, 2, 2, 1), StateSpace(2))

@@ -89,14 +89,14 @@ def patterns(draw):
 
 
 def uncovered(symbols, bits, p) -> bool:
-    """Whether observed position p > 0, away from blanks, has no recorded
-    transition to or from a neighbour."""
+    """Whether observed position p > 0 has no recorded transition to or
+    from an observed neighbour."""
     n = len(symbols) - 1
     left, s = symbols[p - 1], symbols[p]
     right = symbols[p + 1] if p < n else None
-    if left is None or (p < n and right is None):
-        return False
-    return not bits[left - 1, s - 1] and not (right is not None and bits[s - 1, right - 1])
+    into = left is not None and bits[left - 1, s - 1]
+    out = right is not None and bits[s - 1, right - 1]
+    return not (into or out)
 
 
 def first_failure(symbols, bits, support):
