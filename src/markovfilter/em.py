@@ -7,13 +7,17 @@ its endpoints, a gap's hidden path moves only along unrecorded transitions,
 so its law is governed by powers of the matrix P0 that keeps p_ij where
 f_ij = 0 and zeroes the rest.
 
-One E-step treats all gaps (a, nu, b) together. The powers P0^0..P0^nu_max
-give each gap's mass; its weight (multiplicity / mass) goes into a matrix
-B_nu at (a, b), or along row a for a trailing gap; the backward recursion
-Z_t = B_(t+1) + Z_(t+1) P0^T over gap lengths then gives the expected counts
-pair_counts + P0 o sum_t (P0^t)^T Z_t, as in Baum-Welch forward-backward, at
-O(nu_max k^3) cost whatever the number of gap types. The M-step
-row-normalizes the expected counts.
+One E-step treats all gaps together as a sum over their edges. A gap type
+g = (a, nu, b) with multiplicity n_g has mass P0^nu[a, b] and weight
+w_g = n_g / mass; its expected counts are P0 o w_g sum_{m < nu}
+(P0^m[a, :])^T (P0^(nu-1-m)[:, b]), and a trailing gap uses the row sums
+P0^(nu-1-m) 1 in place of column b. The powers P0^0..P0^nu_max come from
+1 + ceil(log2 nu_max) matmuls by doubling, in one table whose last column
+holds the row sums. The segmentation's index arrays then read every mass
+in one gather and every edge's row and column in two more, so the counts
+of all gaps are one weighted (k x S) @ (S x k) matmul, where S, the sum of
+the types' lengths, counts the edges. An E-step makes O(log nu_max) numpy
+calls and O(S k^2) work. The M-step row-normalizes the expected counts.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .core import (
     probs_to_theta,
     support_mask,
 )
-from .errors import NonFiniteError, ZeroDenominatorError
+from .errors import ConsistencyError, NonFiniteError, ZeroDenominatorError
 from .filtering import ChainSegments, FilteredChain, FilterMatrix, _gaps, validate_consistency
 
 
@@ -124,14 +128,10 @@ def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
 
 
 def _masses(seg: ChainSegments, p0: np.ndarray):
-    """(powers P0^0 .. P0^nu_max stacked, each gap type's mass: P0^nu[a, b],
-    or the row sum of P0^nu[a] for a trailing gap), in the dtype of ``p0``."""
-    powers = np.empty((seg.nu_max + 1, seg.k, seg.k), dtype=p0.dtype)
-    powers[0] = np.eye(seg.k)
-    for t in range(seg.nu_max):
-        np.matmul(powers[t], p0, out=powers[t + 1])
-    rows = powers[seg.nu, seg.a]
-    return powers, np.where(seg.trail, rows.sum(axis=1), powers[seg.nu, seg.a, seg.b])
+    """(the power table of ``p0``, each gap type's mass read from it:
+    P0^nu[a, b], or the row sum of P0^nu[a] for a trailing gap)."""
+    table = seg.power_table(p0)
+    return table, table.take(seg.mass_cells)
 
 
 def _gap_counts(seg: ChainSegments, p0: np.ndarray):
@@ -139,7 +139,7 @@ def _gap_counts(seg: ChainSegments, p0: np.ndarray):
     ``p0``; raises when a gap has no unrecorded path. Any dtype of ``p0``
     works (a complex one gives the complex-step Jacobian in ``sem``); the
     check reads the real part of the masses."""
-    powers, masses = _masses(seg, p0)
+    table, masses = _masses(seg, p0)
     bad = np.flatnonzero(masses.real <= 0.0)
     if bad.size:
         i = bad[0]
@@ -147,17 +147,8 @@ def _gap_counts(seg: ChainSegments, p0: np.ndarray):
         raise ZeroDenominatorError(
             f"no unrecorded {what} of length {seg.nu[i]} from state {seg.a[i] + 1}{end}"
         )
-    k, top, trail = seg.k, seg.nu_max, seg.trail
-    w = seg.mult / masses
-    inner = ~trail
-    weights = np.zeros((top + 1, k, k), dtype=p0.dtype)
-    np.add.at(weights, (seg.nu[inner], seg.a[inner], seg.b[inner]), w[inner])
-    np.add.at(weights, (seg.nu[trail], seg.a[trail]), w[trail, None])
-    z = np.zeros((top + 1, k, k), dtype=p0.dtype)
-    for t in range(top - 1, -1, -1):
-        np.matmul(z[t + 1], p0.T, out=z[t])
-        z[t] += weights[t + 1]
-    return p0 * np.tensordot(powers[:top], z[:top], axes=([0, 1], [0, 1])), masses
+    w = (seg.mult / masses).take(seg.edge_type)
+    return p0 * ((table.take(seg.left).T * w) @ table.take(seg.right)), masses
 
 
 def _expected_counts(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):
@@ -171,10 +162,10 @@ def _loglik(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray, masses=None
     -inf instead of an error when a factor vanishes."""
     if masses is None:
         masses = _masses(seg, np.where(bits, 0.0, probs))[1]
-    pair_probs = probs[seg.pair_mask]
+    pair_probs = probs.take(seg.pair_cells)
     if np.any(pair_probs <= 0.0) or np.any(masses <= 0.0):
         return -np.inf
-    pairs = (seg.pair_counts[seg.pair_mask] * np.log(pair_probs)).sum()
+    pairs = (seg.pair_n * np.log(pair_probs)).sum()
     return float(pairs) + float(seg.mult @ np.log(masses))
 
 
@@ -187,7 +178,9 @@ def _em_update(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> np.nd
 def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
     """Conditional expected transition counts given the pattern; observed
     pairs contribute one count each, gaps their conditional expectations.
-    The total equals the number of transitions n."""
+    The total equals the number of transitions n. Raises ConsistencyError
+    when no complete chain produces the pattern under ``F``."""
+    validate_consistency(y, F)
     counts, _ = _expected_counts(y.segments, _as_probs(theta, y.space.k), F.bits)
     return CountMatrix(counts)
 
@@ -203,7 +196,11 @@ def observed_loglik(y: FilteredChain, theta, F: FilterMatrix) -> float:
     """Exact log-probability of the pattern: observed pairs contribute
     log p_ab, interior gaps log of the unrecorded-path mass, trailing gaps
     log of the unrecorded continuation mass. Returns -inf when a factor
-    vanishes."""
+    vanishes or no complete chain produces the pattern under ``F``."""
+    try:
+        validate_consistency(y, F)
+    except ConsistencyError:
+        return -np.inf
     return _loglik(y.segments, _as_probs(theta, y.space.k), F.bits)
 
 

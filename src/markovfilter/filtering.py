@@ -98,15 +98,24 @@ class ChainSegments:
     """A filtered chain cut into adjacent observed pairs and gaps (maximal
     blank runs), together covering its n transitions once.
 
-    ``pair_counts`` is the k x k tally of adjacent observed pairs. The
-    distinct gap types, a trailing gap included, are arrays in order of
-    first occurrence: 0-based start state ``a``, length ``nu``, 0-based end
-    state ``b`` (0 where ``trail`` marks the gap that ends the chain),
-    multiplicity ``mult`` and ``first``, the position of the observed start
-    of the type's first gap. All arrays are read-only.
+    ``pair_counts`` is the k x k tally of adjacent observed pairs,
+    ``pair_cells`` the flat indices of its nonzero cells and ``pair_n``
+    their counts. The distinct gap types, a trailing gap included, are
+    arrays in order of first occurrence: 0-based start state ``a``, length
+    ``nu``, 0-based end state ``b`` (0 where ``trail`` marks the gap that
+    ends the chain), multiplicity ``mult`` and ``first``, the position of
+    the observed start of the type's first gap.
+
+    Flat indices into ``power_table`` (column k, the row sums, ends a
+    trailing gap) are built once: ``mass_cells``, each type's P0^nu[a, b]
+    or row sum of P0^nu[a]; and for the S edges m = 0 .. nu - 1 of the
+    types in turn, ``edge_type``, ``left`` (S x k cells of row a of P0^m)
+    and ``right`` (S x k cells of column b of P0^(nu-1-m)). All arrays are
+    read-only.
     """
 
-    __slots__ = ("k", "pair_counts", "pair_mask", "a", "nu", "b", "trail", "mult", "first", "nu_max")
+    __slots__ = ("k", "pair_counts", "pair_cells", "pair_n", "a", "nu", "b", "trail", "mult", "first",
+                 "nu_max", "mass_cells", "edge_type", "left", "right")
 
     def __init__(self, k, pair_counts, a, nu, b, trail, mult, first):
         def frozen(values, dtype):  # the arrays passed in are new ones
@@ -116,7 +125,8 @@ class ChainSegments:
 
         self.k = k
         self.pair_counts = frozen(pair_counts, float)
-        self.pair_mask = frozen(self.pair_counts > 0, bool)
+        self.pair_cells = frozen(np.flatnonzero(self.pair_counts), np.intp)
+        self.pair_n = frozen(self.pair_counts.take(self.pair_cells), float)
         self.a = frozen(a, np.intp)
         self.nu = frozen(nu, np.intp)
         self.b = frozen(b, np.intp)
@@ -124,25 +134,53 @@ class ChainSegments:
         self.mult = frozen(mult, float)
         self.first = frozen(first, np.intp)
         self.nu_max = int(self.nu.max(initial=0))
+        col = np.where(self.trail, k, self.b)
+        self.mass_cells = frozen((self.nu * k + self.a) * (k + 1) + col, np.intp)
+        edge = self.edge_type = frozen(np.repeat(np.arange(self.nu.size), self.nu), np.intp)
+        rest = np.repeat(np.cumsum(self.nu), self.nu) - 1 - np.arange(edge.size)  # nu - 1 - m
+        m_rows = (self.nu[edge] - 1 - rest) * k + self.a[edge]
+        self.left = frozen((m_rows * (k + 1))[:, None] + np.arange(k), np.intp)
+        self.right = frozen((rest[:, None] * k + np.arange(k)) * (k + 1) + col[edge, None], np.intp)
+
+    def power_table(self, step: np.ndarray) -> np.ndarray:
+        """(nu_max + 1, k, k + 1) table of step^0 .. step^nu_max, row sums in
+        column k, in the dtype of ``step`` (a bool one gives reachability).
+        By doubling: with step^0 .. step^(f-1) known, step^(f-1) times
+        step^1 .. step^n gives the next n powers in one batched matmul."""
+        k, top = self.k, self.nu_max
+        table = np.empty((top + 1, k, k + 1), dtype=step.dtype)
+        table[0] = np.eye(k, k + 1)
+        table[0, :, k] = 1
+        table[1:2] = step @ table[0]  # nothing when nu_max = 0
+        f = 2
+        while f <= top:
+            n = min(f - 1, top + 1 - f)
+            np.matmul(table[f - 1, :, :k], table[1 : n + 1], out=table[f : f + n])
+            f += n
+        return table
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, k: int) -> "ChainSegments":
         """Segment a chain given as codes (1..k observed, 0 blank, first
         symbol observed)."""
-        n = len(codes) - 1
         # tally pairs by code pair in a (k+1) x (k+1) table; code 0 is a blank
         pairs = codes[:-1] * (k + 1) + codes[1:]
         pair_counts = np.bincount(pairs, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[1:, 1:]
         first, a, nu, b = _gaps(codes, k)
-        key = (a * (n + 1) + nu) * (k + 1) + b
-        _, where, mult = np.unique(key, return_index=True, return_counts=True)
-        order = np.argsort(where)
-        types = where[order]
+        # key gaps by (a, rank of nu among the distinct lengths, b): the
+        # distinct lengths sum to at most n, so there are at most sqrt(2n)
+        present = np.bincount(nu) > 0
+        rank = np.cumsum(present) - 1
+        key = (a * np.count_nonzero(present) + rank[nu]) * (k + 1) + b
+        mult = np.bincount(key)
+        where = np.full(mult.size, key.size)  # each type's first gap
+        np.minimum.at(where, key, np.arange(key.size))
+        types = np.sort(where[mult > 0])
         b = b[types]
         trail = b == k
         return cls(
             k, pair_counts, a[types], nu[types], np.where(trail, 0, b), trail,
-            mult[order], first[types],
+            mult[key[types]], first[types],
         )
 
 
@@ -462,18 +500,6 @@ def _coverage_failure(y: FilteredChain, F: FilterMatrix):
     return int(bad[0]) if bad.size else None
 
 
-def _reach_table(edges: np.ndarray, nu_max: int) -> np.ndarray:
-    """Boolean (nu_max+1, k, k) table: entry (nu, i, j) is set when j can be
-    reached from i in exactly nu steps along ``edges``."""
-    k = edges.shape[0]
-    step = edges.astype(np.int64)
-    reach = np.empty((nu_max + 1, k, k), dtype=bool)
-    reach[0] = np.eye(k, dtype=bool)
-    for t in range(nu_max):
-        reach[t + 1] = (reach[t].astype(np.int64) @ step) > 0
-    return reach
-
-
 def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> None:
     """Raise ConsistencyError unless some complete chain on the support
     produces ``y`` under ``apply_filter``.
@@ -496,22 +522,20 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
     if cov is not None:
         failures.append((cov, "observed position has no recorded adjacent transition"))
 
-    if mask is not None and (seg.pair_mask & ~mask).any():
+    if mask is not None and not mask.take(seg.pair_cells).all():
         pairs_off = _pair_table(~mask)[y.codes[:-1], y.codes[1:]]
         failures.append((int(np.argmax(pairs_off)), "observed transition off the support"))
 
-    if seg.nu.size:
-        reach = _reach_table(~F.bits if mask is None else ~F.bits & mask, seg.nu_max)
-        ok = np.where(seg.trail, reach[seg.nu, seg.a].any(axis=1), reach[seg.nu, seg.a, seg.b])
-        bad = np.flatnonzero(~ok)
-        if bad.size:  # gap types are in order of first occurrence
-            i = bad[0]
-            rule = (
-                "trailing blanks admit no unrecorded continuation"
-                if seg.trail[i]
-                else "no unrecorded path of the gap's length"
-            )
-            failures.append((int(seg.first[i]) + 1, rule))
+    reach = seg.power_table(~F.bits if mask is None else ~F.bits & mask)
+    bad = np.flatnonzero(~reach.take(seg.mass_cells))
+    if bad.size:  # gap types are in order of first occurrence
+        i = bad[0]
+        rule = (
+            "trailing blanks admit no unrecorded continuation"
+            if seg.trail[i]
+            else "no unrecorded path of the gap's length"
+        )
+        failures.append((int(seg.first[i]) + 1, rule))
 
     if failures:
         raise ConsistencyError(*min(failures, key=lambda f: f[0]))

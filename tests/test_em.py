@@ -6,6 +6,7 @@ import pytest
 
 from markovfilter import (
     CompleteChain,
+    ConsistencyError,
     CountMatrix,
     FilteredChain,
     FilterMatrix,
@@ -189,9 +190,12 @@ class TestEStep:
         np.testing.assert_array_equal(E.counts, transition_counts(worked_chain).counts)
 
     def test_forced_gap_counts(self):
-        y = FilteredChain((1, None, 1), StateSpace(2))
+        # the one completion is (1, 2, 1, 1); in 1 - 1 nothing reveals the end
+        y = FilteredChain((1, None, 1, 1), StateSpace(2))
         E = e_step(y, two_state(0.3, 0.4).theta(), F_DIAG)
-        np.testing.assert_allclose(E.counts, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+        np.testing.assert_allclose(E.counts, [[1.0, 1.0], [1.0, 0.0]], atol=1e-14)
+        with pytest.raises(ConsistencyError):
+            e_step(FilteredChain((1, None, 1), StateSpace(2)), two_state(0.3, 0.4).theta(), F_DIAG)
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(21)
@@ -318,9 +322,13 @@ class TestMStep:
 
 class TestObservedLoglik:
     def test_forced_gap_value(self):
-        y = FilteredChain((1, None, 1), StateSpace(2))
+        y = FilteredChain((1, None, 1, 1), StateSpace(2))
         ll = observed_loglik(y, two_state(0.3, 0.4).theta(), F_DIAG)
-        assert ll == pytest.approx(np.log(0.12), abs=1e-14)
+        assert ll == pytest.approx(np.log(0.3 * 0.4 * 0.7), abs=1e-14)
+        # no complete chain gives 1 - 1: the oracle's likelihood is 0
+        y = FilteredChain((1, None, 1), StateSpace(2))
+        assert oracle_observed_likelihood(y, F_DIAG, two_state(0.3, 0.4)) == 0.0
+        assert observed_loglik(y, two_state(0.3, 0.4).theta(), F_DIAG) == -np.inf
 
     def test_full_observation_equals_complete_loglik(self, worked_chain):
         F = FilterMatrix.all_ones(3)
@@ -453,8 +461,6 @@ class TestRunEm:
 
     def test_inconsistent_pattern_is_rejected(self):
         y = FilteredChain((1, 2), StateSpace(2))
-        from markovfilter import ConsistencyError
-
         with pytest.raises(ConsistencyError):
             run_em(y, F_DIAG)
 

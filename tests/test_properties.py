@@ -1,5 +1,6 @@
 """Property-based checks of the E-step, the observed log-likelihood and the
-consistency check against the enumeration oracles, of the EM fit and its
+consistency check against the enumeration oracles, of the gap kernel
+against the backward recursion over gap lengths, of the EM fit and its
 Jacobian, on random parameters, filters, supports and chains, and of the
 chain reader and the segmentation against per-token and per-position loops."""
 
@@ -37,7 +38,8 @@ from markovfilter import (
     validate_consistency,
 )
 from markovfilter import io
-from markovfilter.filtering import _coverage_failure
+from markovfilter.em import _gap_counts
+from markovfilter.filtering import ChainSegments, _coverage_failure
 from test_sem import fd_hessian, moved
 
 
@@ -64,6 +66,60 @@ def test_e_step_and_loglik_match_the_oracles(case):
     assert E.total == pytest.approx(y.n_transitions, abs=1e-10)
     expected = np.log(oracle_observed_likelihood(y, F, P))
     assert observed_loglik(y, P, F) == pytest.approx(expected, abs=1e-10)
+
+
+def backward_recursion(seg, p0):
+    """The reference gap kernel: powers by a forward loop, each gap type's
+    weight scattered into B_nu, then Z_t = B_(t+1) + Z_(t+1) P0^T backward
+    over the lengths (Baum-Welch); counts P0 o sum_t (P0^t)^T Z_t."""
+    k, top, trail = seg.k, seg.nu_max, seg.trail
+    powers = np.empty((top + 1, k, k), dtype=p0.dtype)
+    powers[0] = np.eye(k)
+    for t in range(top):
+        np.matmul(powers[t], p0, out=powers[t + 1])
+    masses = np.where(trail, powers[seg.nu, seg.a].sum(axis=1), powers[seg.nu, seg.a, seg.b])
+    w = seg.mult / masses
+    inner = ~trail
+    weights = np.zeros((top + 1, k, k), dtype=p0.dtype)
+    np.add.at(weights, (seg.nu[inner], seg.a[inner], seg.b[inner]), w[inner])
+    np.add.at(weights, (seg.nu[trail], seg.a[trail]), w[trail, None])
+    z = np.zeros((top + 1, k, k), dtype=p0.dtype)
+    for t in range(top - 1, -1, -1):
+        np.matmul(z[t + 1], p0.T, out=z[t])
+        z[t] += weights[t + 1]
+    return p0 * np.tensordot(powers[:top], z[:top], axes=([0, 1], [0, 1])), masses
+
+
+@st.composite
+def gap_kernel_cases(draw):
+    """(segments, p0): up to six interior gap types and a trailing one of
+    lengths 1 to 40 on k in 2..6 states, and a positive substochastic p0,
+    real or complex-stepped along a random direction as in ``em_jacobian``."""
+    k = draw(st.integers(2, 6))
+    state, length = st.integers(0, k - 1), st.integers(1, 40)
+    inner = draw(st.lists(st.tuples(state, length, state, st.integers(1, 5)), min_size=1, max_size=6))
+    a, nu, b, mult = map(list, zip(*inner, (draw(state), draw(length), 0, 1)))
+    trail = [False] * len(inner) + [True]
+    seg = ChainSegments(k, np.zeros((k, k)), a, nu, b, trail, mult, range(len(a)))
+    weights = np.reshape(draw(st.lists(st.floats(0.05, 1.0), min_size=k * k, max_size=k * k)), (k, k))
+    p0 = weights / weights.sum(axis=1, keepdims=True) * draw(st.floats(0.3, 1.0))
+    if draw(st.booleans()):
+        direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k))
+        p0 = p0 + 1e-30j * np.reshape(direction, (k, k))
+    return seg, p0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gap_kernel_cases())
+def test_gap_kernel_matches_the_backward_recursion(case):
+    seg, p0 = case
+    counts, masses = _gap_counts(seg, p0)
+    ref_counts, ref_masses = backward_recursion(seg, p0)
+    assert counts.dtype == ref_counts.dtype and masses.dtype == ref_masses.dtype
+    for got, ref in ((counts, ref_counts), (masses, ref_masses)):
+        np.testing.assert_allclose(got.real, ref.real, rtol=1e-13, atol=0)
+        # the step's part: rounding of h = 1e-30 times the real part's scale
+        np.testing.assert_allclose(got.imag, ref.imag, rtol=1e-13, atol=1e-43 * np.abs(ref.real).max())
 
 
 @st.composite
