@@ -39,7 +39,7 @@ from .filtering import (
     identifiability_verdict,
     reduction_fraction,
 )
-from .inference import chi_square_test, confidence_interval, z_test
+from .inference import _check_alpha, chi_square_test, confidence_interval, z_test
 from .sem import run_sem
 
 EXIT_OK = 0
@@ -68,13 +68,7 @@ def cmd_simulate(args) -> int:
     counts = transition_counts(chain)
     print(f"wrote {len(chain)} states ({chain.n_transitions} transitions) to {args.out}")
     _print_matrix(counts.counts, "transition counts:")
-    missing = [
-        (i + 1, j + 1)
-        for i in range(P.k)
-        for j in range(P.k)
-        if P.support[i, j] and counts.counts[i, j] == 0
-    ]
-    for i, j in missing:
+    for i, j in np.argwhere(P.support & (counts.counts == 0)) + 1:
         print(
             f"warning: transition {i}->{j} is allowed but never occurred; "
             "estimates from this realization may sit on the boundary"
@@ -171,8 +165,9 @@ def cmd_estimate(args) -> int:
     F = io.read_filter_csv(args.filter)
     if args.tol <= 0:
         raise ValueError("tolerances must be positive")
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
+    _check_alpha(args.alpha)
     y = io.read_filtered_chain(args.filtered, F.k, args.blank_token)
     support = io.read_support_csv(args.support) if args.support else None
     try:  # run_em validates the pattern before it iterates
@@ -247,6 +242,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_test(args) -> int:
+    _check_alpha(args.alpha)
     report = io.read_kv_report(args.report)
     try:
         k = int(report["estimate.k"])

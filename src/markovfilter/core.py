@@ -370,9 +370,7 @@ def transition_counts(x: CompleteChain) -> CountMatrix:
     """Count adjacent (i, j) pairs; the total equals the transition count n."""
     k = x.space.k
     idx = x.as_indices()
-    counts = np.zeros((k, k), dtype=float)
-    np.add.at(counts, (idx[:-1], idx[1:]), 1.0)
-    return CountMatrix(counts)
+    return CountMatrix(np.bincount(idx[:-1] * k + idx[1:], minlength=k * k).reshape(k, k))
 
 
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
@@ -407,11 +405,7 @@ def decode_tuple_state(label: int, k: int, s: int) -> tuple:
     code = int(label) - 1
     if not 0 <= code < k**s:
         raise ValueError(f"label {label} outside 1..{k**s}")
-    out = []
-    for _ in range(s):
-        out.append(code % k + 1)
-        code //= k
-    return tuple(reversed(out))
+    return tuple(int(digit) + 1 for digit in np.unravel_index(code, (k,) * s))
 
 
 def embed_higher_order(x: CompleteChain, s: int) -> CompleteChain:
@@ -439,13 +433,7 @@ def embedded_support(k: int, s: int) -> np.ndarray:
     last s-1 coordinates; k**(s+1) entries are allowed."""
     if s < 2:
         raise ValueError("embedding order must be at least 2")
-    K = k**s
-    mask = np.zeros((K, K), dtype=bool)
-    tail = k ** (s - 1)
-    for a in range(K):
-        base = (a % tail) * k
-        mask[a, base : base + k] = True
-    return mask
+    return np.tile(np.repeat(np.eye(k ** (s - 1), dtype=bool), k, axis=1), (k, 1))
 
 
 def project_embedded_params(P_emb: TransitionMatrix, s: int) -> dict:
@@ -456,11 +444,7 @@ def project_embedded_params(P_emb: TransitionMatrix, s: int) -> dict:
     k = round(K ** (1.0 / s))
     if k**s != K:
         raise ValueError(f"matrix of size {K} is not a {s}-fold tuple space")
-    tail = k ** (s - 1)
-    out = {}
-    for a in range(K):
-        history = decode_tuple_state(a + 1, k, s)
-        base = (a % tail) * k
-        for b in range(k):
-            out[history + (b + 1,)] = float(P_emb.probs[a, base + b])
-    return out
+    rows = np.arange(K)  # row a's k allowed targets start at column (a mod k^(s-1)) k
+    probs = P_emb.probs.reshape(K, -1, k)[rows, rows % k ** (s - 1)]
+    keys = np.ndindex((k,) * (s + 1))  # (history, next state), 0-based, in row-major order
+    return {tuple(d + 1 for d in key): p for key, p in zip(keys, probs.ravel().tolist())}

@@ -122,7 +122,7 @@ def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
     end = gap.next_state
     seg = ChainSegments(
         S.k, np.zeros((S.k, S.k)), [gap.prev_state - 1], [gap.length],
-        [0 if end is None else end - 1], [end is None], [1.0], [0],
+        [S.k if end is None else end - 1], [1.0], [0],
     )
     return CountMatrix(_gap_counts(seg, S.p0)[0])
 
@@ -143,7 +143,7 @@ def _gap_counts(seg: ChainSegments, p0: np.ndarray):
     bad = np.flatnonzero(masses.real <= 0.0)
     if bad.size:
         i = bad[0]
-        what, end = ("continuation", "") if seg.trail[i] else ("path", f" to state {seg.b[i] + 1}")
+        what, end = ("continuation", "") if seg.b[i] == seg.k else ("path", f" to state {seg.b[i] + 1}")
         raise ZeroDenominatorError(
             f"no unrecorded {what} of length {seg.nu[i]} from state {seg.a[i] + 1}{end}"
         )

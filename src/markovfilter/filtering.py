@@ -102,22 +102,22 @@ class ChainSegments:
     ``pair_cells`` the flat indices of its nonzero cells and ``pair_n``
     their counts. The distinct gap types, a trailing gap included, are
     arrays in order of first occurrence: 0-based start state ``a``, length
-    ``nu``, 0-based end state ``b`` (0 where ``trail`` marks the gap that
-    ends the chain), multiplicity ``mult`` and ``first``, the position of
-    the observed start of the type's first gap.
+    ``nu``, 0-based end state ``b``, which is k for the gap that ends the
+    chain, multiplicity ``mult`` and ``first``, the position of the
+    observed start of the type's first gap.
 
-    Flat indices into ``power_table`` (column k, the row sums, ends a
-    trailing gap) are built once: ``mass_cells``, each type's P0^nu[a, b]
-    or row sum of P0^nu[a]; and for the S edges m = 0 .. nu - 1 of the
-    types in turn, ``edge_type``, ``left`` (S x k cells of row a of P0^m)
-    and ``right`` (S x k cells of column b of P0^(nu-1-m)). All arrays are
-    read-only.
+    Flat indices into ``power_table``, whose column k holds the row sums
+    (so b = k reads a trailing gap's continuation mass), are built once:
+    ``mass_cells``, each type's P0^nu[a, b]; and for the S edges m = 0 ..
+    nu - 1 of the types in turn, ``edge_type``, ``left`` (S x k cells of
+    row a of P0^m) and ``right`` (S x k cells of column b of P0^(nu-1-m)).
+    All arrays are read-only.
     """
 
-    __slots__ = ("k", "pair_counts", "pair_cells", "pair_n", "a", "nu", "b", "trail", "mult", "first",
+    __slots__ = ("k", "pair_counts", "pair_cells", "pair_n", "a", "nu", "b", "mult", "first",
                  "nu_max", "mass_cells", "edge_type", "left", "right")
 
-    def __init__(self, k, pair_counts, a, nu, b, trail, mult, first):
+    def __init__(self, k, pair_counts, a, nu, b, mult, first):
         def frozen(values, dtype):  # the arrays passed in are new ones
             arr = np.asarray(values, dtype=dtype)
             arr.setflags(write=False)
@@ -130,17 +130,15 @@ class ChainSegments:
         self.a = frozen(a, np.intp)
         self.nu = frozen(nu, np.intp)
         self.b = frozen(b, np.intp)
-        self.trail = frozen(trail, bool)
         self.mult = frozen(mult, float)
         self.first = frozen(first, np.intp)
         self.nu_max = int(self.nu.max(initial=0))
-        col = np.where(self.trail, k, self.b)
-        self.mass_cells = frozen((self.nu * k + self.a) * (k + 1) + col, np.intp)
+        self.mass_cells = frozen((self.nu * k + self.a) * (k + 1) + self.b, np.intp)
         edge = self.edge_type = frozen(np.repeat(np.arange(self.nu.size), self.nu), np.intp)
         rest = np.repeat(np.cumsum(self.nu), self.nu) - 1 - np.arange(edge.size)  # nu - 1 - m
         m_rows = (self.nu[edge] - 1 - rest) * k + self.a[edge]
         self.left = frozen((m_rows * (k + 1))[:, None] + np.arange(k), np.intp)
-        self.right = frozen((rest[:, None] * k + np.arange(k)) * (k + 1) + col[edge, None], np.intp)
+        self.right = frozen((rest[:, None] * k + np.arange(k)) * (k + 1) + self.b[edge, None], np.intp)
 
     def power_table(self, step: np.ndarray) -> np.ndarray:
         """(nu_max + 1, k, k + 1) table of step^0 .. step^nu_max, row sums in
@@ -176,12 +174,7 @@ class ChainSegments:
         where = np.full(mult.size, key.size)  # each type's first gap
         np.minimum.at(where, key, np.arange(key.size))
         types = np.sort(where[mult > 0])
-        b = b[types]
-        trail = b == k
-        return cls(
-            k, pair_counts, a[types], nu[types], np.where(trail, 0, b), trail,
-            mult[key[types]], first[types],
-        )
+        return cls(k, pair_counts, a[types], nu[types], b[types], mult[key[types]], first[types])
 
 
 class FilteredChain(_ArrayChain):
@@ -393,16 +386,6 @@ def _c2_search(bits: np.ndarray, support=None):
     return None
 
 
-def _searches(bits: np.ndarray):
-    """The three family searches below ``bits`` in order, each run when the
-    caller asks for the next: one zero row and column, two zero columns, two
-    zero rows (the transpose of the second)."""
-    yield _c1_search(bits)
-    yield _c2_search(bits)
-    found = _c2_search(bits.T)
-    yield None if found is None else (found[0], found[1], found[2].T)
-
-
 def _member(found, F: FilterMatrix, ones: int):
     """(alpha, beta), 1-based, when F is in the family: the family's witness
     lies below F, so F is a member iff the witness has as many ones as F."""
@@ -431,31 +414,18 @@ def in_class_c3(F: FilterMatrix):
     return in_class_c2(FilterMatrix(F.bits.T))
 
 
-def _witness(bits: np.ndarray, mask, searches):
-    """The first witness of the family ``searches`` as a FilterMatrix, or
-    None. Restriction R applies exactly when ``mask`` has a structural zero:
-    the one-zero-row and two-zero-row families cannot observe anything in
-    their zero rows, so R rules them out, and the two-zero-column search
-    then runs on the allowed transitions."""
-    if mask is not None and not mask.all():
-        found = _c2_search(bits, mask)
-    else:
-        found = next((f for f in searches if f is not None), None)
-    return None if found is None else FilterMatrix(found[2])
-
-
 def closure_witness(F: FilterMatrix, support=None):
-    """Search for a filter D below F (D's ones a subset of F's) belonging to
-    one of the three identifiable families. When the support mask has a
+    """The closure witness of ``identifiability_verdict``: a filter D below
+    F (D's ones a subset of F's) belonging to one of the three identifiable
+    families, or None when no such D exists. When the support mask has a
     structural zero, D must also observe at least one allowed transition
     per row (restriction R); None and an all-ones mask search alike.
 
     One maximum matching decides the one-zero-row family; the two-zero-column
     and two-zero-row families take a matching per candidate pair (alpha,
-    beta), so the search is exact and polynomial. Returns None when no
-    witness exists.
+    beta), so the search is exact and polynomial.
     """
-    return _witness(F.bits, support_mask(support, F.k), _searches(F.bits))
+    return identifiability_verdict(F, support).closure_witness
 
 
 def satisfies_r(F: FilterMatrix, support) -> bool:
@@ -469,21 +439,28 @@ def identifiability_verdict(F: FilterMatrix, support=None) -> IdentifiabilityVer
     the membership and, unless the support has a structural zero, the
     closure witness. SUFFICIENT_IDENTIFIABLE is a proof; UNKNOWN only means
     the sufficient conditions checked here do not apply."""
-    searches = _searches(F.bits)
-    c1 = next(searches)
+    c1 = _c1_search(F.bits)
+    c2 = c3 = None
     # a C1 witness is a matching of k-1 edges, so F then has no two zero
     # columns or rows: it is in neither pair family and needs no other witness
-    c2, c3 = searches if c1 is None else (None, None)
-    pair_ones = 3 * (F.k - 2)
+    if c1 is None:
+        c2, c3 = _c2_search(F.bits), _c2_search(F.bits.T)
+        if c3 is not None:
+            c3 = (c3[0], c3[1], c3[2].T)
     mask = support_mask(support, F.k)
-    wit = _witness(F.bits, mask, (c1, c2, c3))
+    # restriction R applies exactly when the mask has a structural zero: the
+    # one-zero-row and two-zero-row families observe nothing in their zero
+    # rows, so R rules them out, and the two-zero-column search then runs on
+    # the allowed transitions
+    found = _c2_search(F.bits, mask) if mask is not None and not mask.all() else c1 or c2 or c3
+    pair_ones = 3 * (F.k - 2)
     return IdentifiabilityVerdict(
         in_c1=_member(c1, F, F.k - 1) is not None,
         in_c2=_member(c2, F, pair_ones) is not None,
         in_c3=_member(c3, F, pair_ones) is not None,
-        closure_witness=wit,
+        closure_witness=None if found is None else FilterMatrix(found[2]),
         satisfies_r=True if mask is None else satisfies_r(F, mask),
-        verdict=Verdict.SUFFICIENT_IDENTIFIABLE if wit is not None else Verdict.UNKNOWN,
+        verdict=Verdict.SUFFICIENT_IDENTIFIABLE if found is not None else Verdict.UNKNOWN,
     )
 
 
@@ -532,7 +509,7 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
         i = bad[0]
         rule = (
             "trailing blanks admit no unrecorded continuation"
-            if seg.trail[i]
+            if seg.b[i] == seg.k
             else "no unrecorded path of the gap's length"
         )
         failures.append((int(seg.first[i]) + 1, rule))

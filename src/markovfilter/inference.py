@@ -93,11 +93,16 @@ def z_test(theta_i: float, theta_i0: float, s_ii: float, alphas=DEFAULT_ALPHAS) 
     )
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the level ``alpha`` lies strictly between 0 and 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+
+
 def confidence_interval(theta_i: float, s_ii: float, alpha: float):
     """Two-sided (1 - alpha) interval theta_hat_i +/- sqrt(s_ii) z_{alpha/2}."""
     if not s_ii > 0:
         raise NonPositiveVarianceError(f"variance {s_ii!r} must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_alpha(alpha)
     half = float(np.sqrt(s_ii) * NormalDist().inv_cdf(1.0 - alpha / 2.0))
     return float(theta_i) - half, float(theta_i) + half

@@ -2,14 +2,14 @@
 plain CSV (one row per line), filtered chains with a configurable blank
 token, and flat dotted-key reports for machine consumption.
 
-A chain file is read without a Python object per token when it can be: if
+A chain file is read in one of two ways, decided only by its contents. If
 every token is a single byte (labels 1-9, a one-character blank token,
 ASCII whitespace between), its bytes are translated through a 256-entry
-table. Any other byte, such as a label of 10 or more, ``01``, ``NA``, a
-non-ASCII byte or \x1c-\x1f (separators only for ``str.split``), sends
-the file to a dict lookup per token and, for a token outside the dict, to
-the per-token parser. Which path runs depends only on the file's contents,
-and all three give the same codes and the same error messages."""
+table, without a Python object per token. Any other byte, such as a label
+of 10 or more, ``01``, ``NA``, a non-ASCII byte or \x1c-\x1f (separators
+only for ``str.split``), sends the file through one loop over its tokens
+that parses each distinct spelling once. Both give the same codes and the
+same error messages."""
 
 from __future__ import annotations
 
@@ -57,35 +57,28 @@ def _read_codes(path: Path, k: int, blank_token=None) -> np.ndarray:
     """The file's tokens as integer codes: state labels 1..k map to
     themselves and ``blank_token`` (when given; it wins over a label) to 0.
 
-    A file of one-byte tokens goes through ``_byte_codes``; otherwise one
-    dict lookup per token, and a token outside that dict sends the file
-    through the per-token parser, which accepts any ``int()`` spelling of a
-    label and names the first bad token by position."""
+    A file of one-byte tokens goes through ``_byte_codes``. Otherwise each
+    spelling not seen before goes through ``int()`` and the range check,
+    which accept any ``int()`` spelling of a label and name the first bad
+    token by position; its code is then remembered."""
     text = path.read_text()
     codes = _byte_codes(text, k, blank_token)
     if codes is not None:
         return codes
-    tokens = text.split()
-    table = {str(s): s for s in range(1, k + 1)}
-    if blank_token is not None:
-        table[blank_token] = 0
-    try:
-        return np.fromiter(map(table.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-    except KeyError:
-        pass
     expected = "not a state label" if blank_token is None else f"neither a state nor {blank_token!r}"
+    known = {blank_token: 0}
     codes = []
-    for pos, tok in enumerate(tokens):
-        if tok == blank_token:
-            codes.append(0)
-            continue
-        try:
-            state = int(tok)
-        except ValueError:
-            raise FileFormatError(path, f"token {pos + 1} ({tok!r}) is {expected}")
-        if not 1 <= state <= k:
-            raise FileFormatError(path, f"token {pos + 1}: state {state} outside 1..{k}")
-        codes.append(state)
+    for pos, tok in enumerate(text.split()):
+        code = known.get(tok)
+        if code is None:
+            try:
+                code = int(tok)
+            except ValueError:
+                raise FileFormatError(path, f"token {pos + 1} ({tok!r}) is {expected}")
+            if not 1 <= code <= k:
+                raise FileFormatError(path, f"token {pos + 1}: state {code} outside 1..{k}")
+            known[tok] = code
+        codes.append(code)
     return np.array(codes, dtype=np.intp)
 
 

@@ -187,16 +187,6 @@ def _inverse_update(m1: np.ndarray):
         raise SingularUpdateError("I - M1 is singular") from err
 
 
-def v_obs(v_com_mat: np.ndarray, m1: np.ndarray):
-    """Observed covariance and missingness inflation:
-    V_obs = V_com (I - M1)^(-1) and dV = V_com M1 (I - M1)^(-1); raises
-    ``SingularUpdateError`` when I - M1 is numerically singular."""
-    v_com_mat = np.asarray(v_com_mat, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    inv, _ = _inverse_update(m1)
-    return v_com_mat @ inv, v_com_mat @ m1 @ inv
-
-
 def symmetry_diagnostic(v: np.ndarray) -> float:
     """Max entrywise |v - v^T|; the result should be tiny for a healthy run."""
     v = np.asarray(v, dtype=float)

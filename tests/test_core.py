@@ -337,3 +337,9 @@ class TestEmbedding:
             tgt = encode_tuple_state(key[1:], k) - 1
             rebuilt[src, tgt] = value
         np.testing.assert_allclose(rebuilt[mask], probs[mask], atol=1e-15)
+
+
+def test_every_exported_name_resolves():
+    import markovfilter
+
+    assert [name for name in markovfilter.__all__ if not hasattr(markovfilter, name)] == []

@@ -141,10 +141,7 @@ class TestSegment:
 
         seg = y.segments
         np.testing.assert_array_equal(seg.pair_counts, tally)
-        got = [
-            (a + 1, nu, None if trail else b + 1)
-            for a, nu, b, trail in zip(seg.a, seg.nu, seg.b, seg.trail)
-        ]
+        got = [(a + 1, nu, None if b == seg.k else b + 1) for a, nu, b in zip(seg.a, seg.nu, seg.b)]
         assert got == list(types)  # distinct types, in order of first occurrence
         np.testing.assert_array_equal(seg.first, [f for f, _ in types.values()])
         np.testing.assert_array_equal(seg.mult, [m for _, m in types.values()])

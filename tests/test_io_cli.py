@@ -340,6 +340,8 @@ class TestEstimateCommand:
         [
             (["--tol", "0"], "tolerances must be positive"),
             (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1"),
+            (["--max-iter", "0"], "--max-iter must be at least 1"),
+            (["--max-iter", "-1"], "--max-iter must be at least 1"),
         ],
     )
     def test_bad_settings_exit_parse(self, tmp_path, bench_files, capsys, option, message):
@@ -531,6 +533,15 @@ class TestTestCommand:
         printed = capsys.readouterr().out
         assert "per-parameter z tests" in printed
         assert "degrees of freedom   = 6" in printed
+
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.5"])
+    def test_bad_alpha_exits_parse(self, fitted_report, bench_files, capsys, alpha):
+        p_file, _ = bench_files
+        capsys.readouterr()
+        assert main(["test", str(fitted_report), p_file, "--alpha", alpha]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == "error: alpha must lie strictly between 0 and 1\n"
+        assert captured.out == ""
 
     def test_missing_key_exits_parse(self, tmp_path, bench_files):
         p_file, _ = bench_files

@@ -72,12 +72,14 @@ def backward_recursion(seg, p0):
     """The reference gap kernel: powers by a forward loop, each gap type's
     weight scattered into B_nu, then Z_t = B_(t+1) + Z_(t+1) P0^T backward
     over the lengths (Baum-Welch); counts P0 o sum_t (P0^t)^T Z_t."""
-    k, top, trail = seg.k, seg.nu_max, seg.trail
+    k, top = seg.k, seg.nu_max
+    trail = seg.b == k
     powers = np.empty((top + 1, k, k), dtype=p0.dtype)
     powers[0] = np.eye(k)
     for t in range(top):
         np.matmul(powers[t], p0, out=powers[t + 1])
-    masses = np.where(trail, powers[seg.nu, seg.a].sum(axis=1), powers[seg.nu, seg.a, seg.b])
+    ends = np.minimum(seg.b, k - 1)  # any column; a trailing gap takes the row sum
+    masses = np.where(trail, powers[seg.nu, seg.a].sum(axis=1), powers[seg.nu, seg.a, ends])
     w = seg.mult / masses
     inner = ~trail
     weights = np.zeros((top + 1, k, k), dtype=p0.dtype)
@@ -98,9 +100,8 @@ def gap_kernel_cases(draw):
     k = draw(st.integers(2, 6))
     state, length = st.integers(0, k - 1), st.integers(1, 40)
     inner = draw(st.lists(st.tuples(state, length, state, st.integers(1, 5)), min_size=1, max_size=6))
-    a, nu, b, mult = map(list, zip(*inner, (draw(state), draw(length), 0, 1)))
-    trail = [False] * len(inner) + [True]
-    seg = ChainSegments(k, np.zeros((k, k)), a, nu, b, trail, mult, range(len(a)))
+    a, nu, b, mult = map(list, zip(*inner, (draw(state), draw(length), k, 1)))
+    seg = ChainSegments(k, np.zeros((k, k)), a, nu, b, mult, range(len(a)))
     weights = np.reshape(draw(st.lists(st.floats(0.05, 1.0), min_size=k * k, max_size=k * k)), (k, k))
     p0 = weights / weights.sum(axis=1, keepdims=True) * draw(st.floats(0.3, 1.0))
     if draw(st.booleans()):
@@ -433,9 +434,10 @@ def test_segments_and_coverage_match_a_loop(case):
     np.testing.assert_array_equal(seg.pair_counts, tally)
     assert seg.pair_counts.dtype == float and seg.mult.dtype == float
     assert all(arr.dtype == np.intp for arr in (seg.a, seg.nu, seg.b, seg.first))
-    got = zip(seg.a.tolist(), seg.nu.tolist(), seg.b.tolist(), seg.trail.tolist())
-    assert [(a, nu, None if trail else b) for a, nu, b, trail in got] == list(types)
-    assert seg.b[seg.trail].tolist() == [0] * int(seg.trail.sum())
+    got = zip(seg.a.tolist(), seg.nu.tolist(), seg.b.tolist())
+    assert [(a, nu, None if b == k else b) for a, nu, b in got] == list(types)
+    # b = k marks one type exactly when the chain ends in blanks
+    assert np.count_nonzero(seg.b == k) == (symbols[-1] is None)
     assert seg.first.tolist() == [f for f, _ in types.values()]
     assert seg.mult.tolist() == [m for _, m in types.values()]
     assert seg.nu_max == max((nu for _, nu, _ in types), default=0)

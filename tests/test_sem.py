@@ -21,7 +21,6 @@ from markovfilter import (
     sem_m1,
     simulate_chain,
     symmetry_diagnostic,
-    v_obs,
 )
 from conftest import BENCH_FILTER, BENCH_PROBS, random_interior_probs
 
@@ -242,23 +241,13 @@ class TestSemM1:
 
 
 class TestVobs:
-    def test_no_missing_information(self):
-        vc = np.diag([2.0, 3.0])
-        vo, dv = v_obs(vc, np.zeros((2, 2)))
-        np.testing.assert_array_equal(vo, vc)
-        np.testing.assert_array_equal(dv, np.zeros((2, 2)))
-
-    def test_scalar_arithmetic(self):
-        vo, dv = v_obs(np.array([[2.0]]), np.array([[0.5]]))
-        assert vo[0, 0] == pytest.approx(4.0)
-        assert dv[0, 0] == pytest.approx(2.0)
-
     def test_total_missingness_is_singular(self):
         from markovfilter import SingularUpdateError
+        from markovfilter.sem import _inverse_update
 
         m1 = np.diag([1.0 - 1e-14, 0.5])
         with pytest.raises(SingularUpdateError):
-            v_obs(np.eye(2), m1)
+            _inverse_update(m1)
 
     def test_identity_v_obs_equals_v_com_plus_delta(self, fitted_two_state):
         y, result = fitted_two_state
