@@ -163,43 +163,41 @@ def _estimate_report(alpha: float, y, reduction, em_result, sem_result, interval
 
 def cmd_estimate(args) -> int:
     F = io.read_filter_csv(args.filter)
-    if args.tol <= 0:
+    if not args.tol > 0:
         raise ValueError("tolerances must be positive")
     if args.max_iter < 1:
         raise ValueError("--max-iter must be at least 1")
     _check_alpha(args.alpha)
     y = io.read_filtered_chain(args.filtered, F.k, args.blank_token)
     support = io.read_support_csv(args.support) if args.support else None
+    # a hint rides on its error in __notes__ (add_note needs Python 3.11); main prints it
     try:  # run_em validates the pattern before it iterates
         em_result = run_em(y, F, tol=args.tol, max_iter=args.max_iter, support=support)
     except ConsistencyError as err:
-        print(
-            f"error: {err}\nhint: check that the blank token and the filter match the "
-            "ones used when the chain was recorded",
-            file=sys.stderr,
-        )
-        return EXIT_CONSISTENCY
+        err.__notes__ = [
+            "check that the blank token and the filter match the ones used when the "
+            "chain was recorded"
+        ]
+        raise
 
     sem_result = None
     if not args.skip_sem:
         try:
             sem_result = run_sem(y, F, em_result)
         except SingularCovarianceError as err:
-            print(
-                f"error: {err}\nhint: EM stopped at a saddle point, not at a maximum; "
-                "it should be started from another point. --skip-sem would only "
-                "report that saddle point, without covariances",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERICAL
+            err.__notes__ = [
+                "EM stopped at a saddle point, not at a maximum; it should be started from "
+                "another point. --skip-sem would only report that saddle point, without "
+                "covariances"
+            ]
+            raise
         except MarkovFilterError as err:
-            print(
-                f"error: {err}\nhint: the estimate itself is fine; rerun with "
-                "--skip-sem to report it without covariances, or collect more "
-                "data / record more transitions for usable standard errors",
-                file=sys.stderr,
-            )
-            return EXIT_NUMERICAL
+            err.__notes__ = [
+                "the estimate itself is fine; rerun with --skip-sem to report it without "
+                "covariances, or collect more data / record more transitions for usable "
+                "standard errors"
+            ]
+            raise
 
     reduction = reduction_fraction(y)
     intervals = None if sem_result is None else _intervals(em_result, sem_result, args.alpha)
@@ -365,18 +363,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConsistencyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONSISTENCY
-    except MarkovFilterError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+    except (MarkovFilterError, ValueError) as err:
+        hints = (f"hint: {note}" for note in getattr(err, "__notes__", ()))
+        print(f"error: {err}", *hints, sep="\n", file=sys.stderr)
+        if isinstance(err, ConsistencyError):
+            return EXIT_CONSISTENCY
+        return EXIT_PARSE if isinstance(err, (FileFormatError, ValueError)) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

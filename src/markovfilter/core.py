@@ -8,6 +8,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,14 @@ class StateSpace:
 
 def _labels(values) -> np.ndarray:
     """New integer array of ``values``; input that is not already integer
-    goes through ``int()`` one item at a time."""
+    goes through ``int()`` one item at a time, and a number that ``int()``
+    would truncate is refused."""
     arr = np.array(values)
     if arr.dtype.kind not in "iu":
         ints = [int(v) for v in values]
+        for pos, (v, label) in enumerate(zip(values, ints)):
+            if isinstance(v, numbers.Number) and v != label:
+                raise ValueError(f"state {v} at position {pos} is not an integer")
         try:
             arr = np.array(ints, dtype=np.int64)
         except OverflowError:  # far out of range: keep the exact values to report
@@ -165,6 +170,8 @@ class TransitionMatrix:
         if support is None:
             support = _readonly(np.ones(probs.shape), bool)
         object.__setattr__(self, "support", support)
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite transition probability")
         if np.any(probs < -ROW_SUM_TOL):
             raise ValueError("negative transition probability")
         rowsums = probs.sum(axis=1)
@@ -259,6 +266,8 @@ class ParamVector:
             raise ValueError(
                 f"expected {k * (k - 1)} parameters for k={k}, got shape {theta.shape}"
             )
+        if not np.isfinite(theta).all():
+            raise ValueError("non-finite parameter")
         if np.any(theta < -ROW_SUM_TOL) or np.any(theta > 1.0 + ROW_SUM_TOL):
             raise ValueError("parameter outside [0, 1]")
         partial = theta.reshape(k, k - 1).sum(axis=1)

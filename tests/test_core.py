@@ -64,6 +64,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             ParamVector(np.array([0.7, 0.7, 0.1, 0.1, 0.1, 0.1]), StateSpace(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_are_rejected(self, bad):
+        # NaN passes every comparison-based check, so it is refused on its own
+        with pytest.raises(ValueError, match="non-finite transition probability"):
+            TransitionMatrix.from_probs([[bad, bad], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            ParamVector(np.array([0.5, bad]), StateSpace(2))
+
     def test_values_are_immutable(self):
         P = TransitionMatrix.from_probs(BENCH_PROBS)
         with pytest.raises(ValueError):
@@ -158,6 +166,23 @@ class TestChainStorage:
         with pytest.raises(ValueError) as err:
             CompleteChain((1, 3, bad, 4), StateSpace(3))
         assert str(err.value) == f"state {bad} at position 2 outside 1..3"
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            ((1.7, 2.2, 1), "state 1.7 at position 0 is not an integer"),
+            ((1, 2, np.float64(1.5)), "state 1.5 at position 2 is not an integer"),
+            (np.array([1.0, 2.5]), "state 2.5 at position 1 is not an integer"),
+        ],
+    )
+    def test_non_integral_state_is_not_truncated(self, states, message):
+        with pytest.raises(ValueError) as err:
+            CompleteChain(states, StateSpace(2))
+        assert str(err.value) == message
+
+    def test_integral_spellings_are_accepted(self):
+        states = (1, 2.0, np.float32(1.0), "2", " 1 ", True, np.int8(2))
+        assert CompleteChain(states, StateSpace(2)).states == (1, 2, 1, 2, 1, 1, 2)
 
 
 class TestCounts:

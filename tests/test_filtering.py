@@ -92,12 +92,19 @@ class TestFilteredChainStorage:
             ((0, 1), "state 0 at position 0 outside 1..2"),
             ((1, 3, None, -1), "state 3 at position 1 outside 1..2"),
             ((1, None, 10**30), "state 1000000000000000000000000000000 at position 2 outside 1..2"),
+            ((1.7, None, 2.0), "state 1.7 at position 0 is not an integer"),
+            ((1, None, 2.0, 1.5), "state 1.5 at position 3 is not an integer"),
         ],
     )
     def test_rejections_name_the_position(self, symbols, message):
         with pytest.raises(ValueError) as err:
             FilteredChain(symbols, StateSpace(2))
         assert str(err.value) == message
+
+    def test_from_codes_refuses_a_non_integral_code(self):
+        with pytest.raises(ValueError, match="state 2.5 at position 2 is not an integer"):
+            FilteredChain.from_codes(np.array([1.0, 0.0, 2.5]), StateSpace(3))
+        assert FilteredChain.from_codes(np.array([1.0, 0.0, 2.0]), StateSpace(3)).symbols == (1, None, 2)
 
     def test_from_codes_rejects_negative_codes(self):
         with pytest.raises(ValueError, match="state -1 at position 1 outside 1..2"):

@@ -205,6 +205,13 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
         assert "bad.csv" in capsys.readouterr().err
 
+    def test_nan_matrix_exits_parse(self, tmp_path, capsys):
+        bad = write(tmp_path / "nan.csv", "nan,nan\n0.5,0.5\n")
+        out = tmp_path / "c.txt"
+        assert main(["simulate", bad, "--initial", "1", "--n", "5", "--out", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {bad}: non-finite transition probability\n"
+        assert not out.exists()
+
     def test_warns_on_unrealized_transition(self, tmp_path, capsys):
         p = write(tmp_path / "p.csv", "1,0\n0.5,0.5\n")
         out = tmp_path / "c.txt"
@@ -342,6 +349,7 @@ class TestEstimateCommand:
             (["--alpha", "1.5"], "alpha must lie strictly between 0 and 1"),
             (["--max-iter", "0"], "--max-iter must be at least 1"),
             (["--max-iter", "-1"], "--max-iter must be at least 1"),
+            (["--tol", "nan"], "tolerances must be positive"),
         ],
     )
     def test_bad_settings_exit_parse(self, tmp_path, bench_files, capsys, option, message):
@@ -541,6 +549,14 @@ class TestTestCommand:
         assert main(["test", str(fitted_report), p_file, "--alpha", alpha]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.err == "error: alpha must lie strictly between 0 and 1\n"
+        assert captured.out == ""
+
+    def test_nan_null_exits_parse(self, tmp_path, fitted_report, capsys):
+        null_file = write(tmp_path / "null.csv", "nan,nan,nan\n0.8,0.1,0.1\n0.7,0.1,0.2\n")
+        capsys.readouterr()
+        assert main(["test", str(fitted_report), null_file]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {null_file}: non-finite transition probability\n"
         assert captured.out == ""
 
     def test_missing_key_exits_parse(self, tmp_path, bench_files):

@@ -227,3 +227,27 @@ class TestSeparation:
         t1, t2 = random_theta(rng, 3), random_theta(rng, 3)
         tv = distinguishability_check(bench_filter, t1, t2, 6, 2)
         assert 0.0 <= tv <= 1.0
+
+    def test_distance_is_half_the_gap_between_pattern_likelihoods(self):
+        # pins the grouping of chains into patterns: every pattern that
+        # apply_filter produces, weighed by the likelihood oracle
+        rng = np.random.default_rng(31)
+        cases = [
+            (FilterMatrix(np.array(bits).reshape(2, 2)), 6)
+            for bits in itertools.product((0, 1), repeat=4)
+        ]
+        cases += [(FilterMatrix(rng.random((3, 3)) < rng.uniform(0.2, 0.8)), 5) for _ in range(24)]
+        for F, length in cases:
+            k = F.k
+            p1, p2 = random_interior_probs(rng, k), random_interior_probs(rng, k)
+            for initial in range(1, k + 1):
+                tails = itertools.product(range(1, k + 1), repeat=length)
+                patterns = dict.fromkeys(
+                    apply_filter(CompleteChain((initial,) + tail, StateSpace(k)), F) for tail in tails
+                )
+                want = 0.5 * sum(
+                    abs(oracle_observed_likelihood(y, F, p1) - oracle_observed_likelihood(y, F, p2))
+                    for y in patterns
+                )
+                got = distinguishability_check(F, p1, p2, length, initial)
+                assert got == pytest.approx(want, abs=1e-13)
