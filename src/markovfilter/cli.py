@@ -3,10 +3,10 @@
 Subcommands cover the whole workflow: simulate a chain, filter it, check a
 filter's identifiability, estimate parameters from a filtered chain (EM +
 supplemented EM + intervals), test hypotheses against a fitted report, and
-embed higher-order chains. Exit codes: 0 success, 3 parse error, 4
-inconsistent pattern, 5 numerical failure, 6 identifiability unknown
-(argparse itself exits 2 on usage errors). All numbers print with 12
-significant digits.
+embed higher-order chains. Exit codes: 0 success, 3 parse or file error
+(a file that cannot be read or written included), 4 inconsistent pattern,
+5 numerical failure, 6 identifiability unknown (argparse itself exits 2 on
+usage errors). All numbers print with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -125,36 +125,41 @@ def _intervals(em_result, sem_result, alpha: float) -> list:
     return rows
 
 
+def _report_cells(name: str, matrix) -> dict:
+    """The report cells ``estimate.<name>.<i>.<j>`` (1-based) of a matrix,
+    row-major; ``_report_matrix`` reads them back."""
+    return {
+        f"estimate.{name}.{i}.{j}": value
+        for i, row in enumerate(np.asarray(matrix, dtype=float).tolist(), 1)
+        for j, value in enumerate(row, 1)
+    }
+
+
+def _report_matrix(report: dict, name: str, size: int) -> np.ndarray:
+    """The ``size`` x ``size`` matrix stored by ``_report_cells``; raises
+    KeyError for a missing cell."""
+    cells = range(1, size + 1)
+    return np.array([[float(report[f"estimate.{name}.{i}.{j}"]) for j in cells] for i in cells])
+
+
 def _estimate_report(alpha: float, y, reduction, em_result, sem_result, intervals) -> dict:
-    k = y.space.k
-    probs = em_result.probs
     entries: dict = {
-        "estimate.k": k,
+        "estimate.k": y.space.k,
         "estimate.n": y.n_transitions,
         "estimate.reduction": reduction,
         "estimate.iterations": em_result.iterations,
         "estimate.converged": em_result.converged,
         "estimate.loglik": em_result.final_observed_loglik,
         "estimate.alpha": alpha,
+        **_report_cells("theta", em_result.probs),
     }
-    for i in range(k):
-        for j in range(k):
-            entries[f"estimate.theta.{i + 1}.{j + 1}"] = float(probs[i, j])
     if sem_result is not None:
-        d = k * (k - 1)
         for i, j, _est, se, ci in intervals:
             entries[f"estimate.se.{i}.{j}"] = float("nan") if se is None else se
             if ci is not None:
                 entries[f"estimate.ci.lo.{i}.{j}"], entries[f"estimate.ci.hi.{i}.{j}"] = ci
-        for name, mat in (
-            ("v_com", sem_result.v_com),
-            ("m1", sem_result.m1),
-            ("v_obs", sem_result.v_obs),
-            ("delta_v", sem_result.delta_v),
-        ):
-            for a in range(d):
-                for b in range(d):
-                    entries[f"estimate.{name}.{a + 1}.{b + 1}"] = float(mat[a, b])
+        for name in ("v_com", "m1", "v_obs", "delta_v"):
+            entries.update(_report_cells(name, getattr(sem_result, name)))
         entries["estimate.symmetry"] = sem_result.asymmetry
         entries["estimate.spectral_radius"] = sem_result.spectral_radius
         entries["estimate.cond"] = sem_result.cond
@@ -244,19 +249,8 @@ def cmd_test(args) -> int:
     report = io.read_kv_report(args.report)
     try:
         k = int(report["estimate.k"])
-        probs_hat = np.array(
-            [
-                [float(report[f"estimate.theta.{i + 1}.{j + 1}"]) for j in range(k)]
-                for i in range(k)
-            ]
-        )
-        d = k * (k - 1)
-        v = np.array(
-            [
-                [float(report[f"estimate.v_obs.{a + 1}.{b + 1}"]) for b in range(d)]
-                for a in range(d)
-            ]
-        )
+        probs_hat = _report_matrix(report, "theta", k)
+        v = _report_matrix(report, "v_obs", k * (k - 1))
     except KeyError as err:
         raise FileFormatError(args.report, f"missing report key {err}")
     P0 = io.read_probability_csv(args.null)
@@ -363,12 +357,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MarkovFilterError, ValueError) as err:
+    except (MarkovFilterError, ValueError, OSError) as err:
         hints = (f"hint: {note}" for note in getattr(err, "__notes__", ()))
         print(f"error: {err}", *hints, sep="\n", file=sys.stderr)
         if isinstance(err, ConsistencyError):
             return EXIT_CONSISTENCY
-        return EXIT_PARSE if isinstance(err, (FileFormatError, ValueError)) else EXIT_NUMERICAL
+        return EXIT_PARSE if isinstance(err, (FileFormatError, ValueError, OSError)) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

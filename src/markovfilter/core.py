@@ -43,12 +43,19 @@ class StateSpace:
 def _labels(values) -> np.ndarray:
     """New integer array of ``values``; input that is not already integer
     goes through ``int()`` one item at a time, and a number that ``int()``
-    would truncate is refused."""
+    would truncate or cannot convert (inf, nan) is refused."""
     arr = np.array(values)
     if arr.dtype.kind not in "iu":
-        ints = [int(v) for v in values]
-        for pos, (v, label) in enumerate(zip(values, ints)):
-            if isinstance(v, numbers.Number) and v != label:
+        ints = []
+        for pos, v in enumerate(values):
+            number = isinstance(v, numbers.Number)
+            try:
+                ints.append(int(v))
+            except (OverflowError, ValueError):
+                if not number:
+                    raise
+                ints.append(None)  # inf or nan: no integer equals it
+            if number and v != ints[-1]:
                 raise ValueError(f"state {v} at position {pos} is not an integer")
         try:
             arr = np.array(ints, dtype=np.int64)

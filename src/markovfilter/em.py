@@ -11,13 +11,15 @@ One E-step treats all gaps together as a sum over their edges. A gap type
 g = (a, nu, b) with multiplicity n_g has mass P0^nu[a, b] and weight
 w_g = n_g / mass; its expected counts are P0 o w_g sum_{m < nu}
 (P0^m[a, :])^T (P0^(nu-1-m)[:, b]), and a trailing gap uses the row sums
-P0^(nu-1-m) 1 in place of column b. The powers P0^0..P0^nu_max come from
-1 + ceil(log2 nu_max) matmuls by doubling, in one table whose last column
-holds the row sums. The segmentation's index arrays then read every mass
-in one gather and every edge's row and column in two more, so the counts
-of all gaps are one weighted (k x S) @ (S x k) matmul, where S, the sum of
-the types' lengths, counts the edges. An E-step makes O(log nu_max) numpy
-calls and O(S k^2) work. The M-step row-normalizes the expected counts.
+P0^(nu-1-m) 1 in place of column b. The kernel lives in
+``filtering.ChainSegments``, next to the index arrays it reads: its
+``gap_masses`` builds P0^0..P0^nu_max by doubling (1 + ceil(log2 nu_max)
+matmuls) and reads every mass in one gather, and its ``gap_counts`` sums
+all gaps in one weighted (k x S) @ (S x k) matmul, where S, the sum of the
+types' lengths, counts the edges. An E-step makes O(log nu_max) numpy
+calls and O(S k^2) work. Here one E-step pass adds the observed pairs and
+the log-likelihood for EM, ``e_step`` and ``observed_loglik``, and the EM
+map, which ``sem`` steps through, row-normalizes the expected counts.
 """
 
 from __future__ import annotations
@@ -124,55 +126,26 @@ def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
         S.k, np.zeros((S.k, S.k)), [gap.prev_state - 1], [gap.length],
         [S.k if end is None else end - 1], [1.0], [0],
     )
-    return CountMatrix(_gap_counts(seg, S.p0)[0])
+    return CountMatrix(seg.gap_counts(S.p0)[0])
 
 
-def _masses(seg: ChainSegments, p0: np.ndarray):
-    """(the power table of ``p0``, each gap type's mass read from it:
-    P0^nu[a, b], or the row sum of P0^nu[a] for a trailing gap)."""
-    table = seg.power_table(p0)
-    return table, table.take(seg.mass_cells)
-
-
-def _gap_counts(seg: ChainSegments, p0: np.ndarray):
-    """(expected counts inside all gaps, gap masses) at the unrecorded part
-    ``p0``; raises when a gap has no unrecorded path. Any dtype of ``p0``
-    works (a complex one gives the complex-step Jacobian in ``sem``); the
-    check reads the real part of the masses."""
-    table, masses = _masses(seg, p0)
-    bad = np.flatnonzero(masses.real <= 0.0)
-    if bad.size:
-        i = bad[0]
-        what, end = ("continuation", "") if seg.b[i] == seg.k else ("path", f" to state {seg.b[i] + 1}")
-        raise ZeroDenominatorError(
-            f"no unrecorded {what} of length {seg.nu[i]} from state {seg.a[i] + 1}{end}"
-        )
-    w = (seg.mult / masses).take(seg.edge_type)
-    return p0 * ((table.take(seg.left).T * w) @ table.take(seg.right)), masses
-
-
-def _expected_counts(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray):
-    """(expected counts, observed log-likelihood) at the given parameters."""
-    counts, masses = _gap_counts(seg, np.where(bits, 0.0, probs))
-    return seg.pair_counts + counts, _loglik(seg, probs, bits, masses)
-
-
-def _loglik(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray, masses=None) -> float:
-    """Observed log-likelihood only, from the gap ``masses`` when given;
-    -inf instead of an error when a factor vanishes."""
-    if masses is None:
-        masses = _masses(seg, np.where(bits, 0.0, probs))[1]
+def _e_pass(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> tuple:
+    """The E-step pass: (expected counts, observed log-likelihood) at
+    ``probs`` under the filter ``bits``. Raises ZeroDenominatorError when a
+    gap has no unrecorded path; the log-likelihood is -inf when an observed
+    pair has probability zero."""
+    counts, masses = seg.gap_counts(np.where(bits, 0.0, probs))
     pair_probs = probs.take(seg.pair_cells)
-    if np.any(pair_probs <= 0.0) or np.any(masses <= 0.0):
-        return -np.inf
+    if np.any(pair_probs <= 0.0):
+        return seg.pair_counts + counts, -np.inf
     pairs = (seg.pair_n * np.log(pair_probs)).sum()
-    return float(pairs) + float(seg.mult @ np.log(masses))
+    return seg.pair_counts + counts, float(pairs) + float(seg.mult @ np.log(masses))
 
 
 def _em_update(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The EM map alone, without the log-likelihood; complex ``probs``
     give complex next probabilities."""
-    return _normalize_rows(seg.pair_counts + _gap_counts(seg, np.where(bits, 0.0, probs))[0])
+    return _normalize_rows(seg.pair_counts + seg.gap_counts(np.where(bits, 0.0, probs))[0])
 
 
 def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
@@ -181,8 +154,7 @@ def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
     The total equals the number of transitions n. Raises ConsistencyError
     when no complete chain produces the pattern under ``F``."""
     validate_consistency(y, F)
-    counts, _ = _expected_counts(y.segments, _as_probs(theta, y.space.k), F.bits)
-    return CountMatrix(counts)
+    return CountMatrix(_e_pass(y.segments, _as_probs(theta, y.space.k), F.bits)[0])
 
 
 def m_step(E: CountMatrix) -> ParamVector:
@@ -199,9 +171,9 @@ def observed_loglik(y: FilteredChain, theta, F: FilterMatrix) -> float:
     vanishes or no complete chain produces the pattern under ``F``."""
     try:
         validate_consistency(y, F)
-    except ConsistencyError:
+        return _e_pass(y.segments, _as_probs(theta, y.space.k), F.bits)[1]
+    except (ConsistencyError, ZeroDenominatorError):
         return -np.inf
-    return _loglik(y.segments, _as_probs(theta, y.space.k), F.bits)
 
 
 def run_em(
@@ -218,8 +190,6 @@ def run_em(
     estimate itself, and ``loglik_trace`` holds the log-likelihood of every
     iterate (non-decreasing, up to roundoff)."""
     k = y.space.k
-    if F.k != k:
-        raise ValueError("filter and pattern dimensions disagree")
     mask = support_mask(support, k)
     validate_consistency(y, F, mask)
     seg = y.segments
@@ -234,7 +204,7 @@ def run_em(
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        counts, loglik = _expected_counts(seg, probs, F.bits)
+        counts, loglik = _e_pass(seg, probs, F.bits)
         new_probs = _normalize_rows(counts)
         if not np.isfinite(loglik):
             raise NonFiniteError("observed log-likelihood is not finite")
@@ -246,7 +216,7 @@ def run_em(
             converged = True
             break
 
-    counts_hat, loglik_hat = _expected_counts(seg, probs, F.bits)
+    counts_hat, loglik_hat = _e_pass(seg, probs, F.bits)
     if not np.isfinite(loglik_hat):
         raise NonFiniteError("observed log-likelihood is not finite")
     trace.append(loglik_hat)

@@ -9,6 +9,12 @@ three structured families known to keep all transition probabilities
 identifiable; data reduced by any filter above such a D stays estimable.
 One search per family serves both questions: a family's witness lies below
 F, so F is itself a member exactly when the witness has as many ones as F.
+
+``ChainSegments`` cuts a filtered chain into observed pairs and gap types
+once, and owns the gap kernel that reads them: the power table of a step
+matrix with each gap type's mass (a bool step for validation, the
+unrecorded part P0 of P for ``em``) and the expected counts inside all
+gaps.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CompleteChain, StateSpace, _ArrayChain, _labels, _out_of_range, _readonly, support_mask
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ZeroDenominatorError
 
 #: Placeholder for a hidden state inside a filtered chain.
 BLANK = None
@@ -106,12 +112,15 @@ class ChainSegments:
     chain, multiplicity ``mult`` and ``first``, the position of the
     observed start of the type's first gap.
 
-    Flat indices into ``power_table``, whose column k holds the row sums
-    (so b = k reads a trailing gap's continuation mass), are built once:
-    ``mass_cells``, each type's P0^nu[a, b]; and for the S edges m = 0 ..
-    nu - 1 of the types in turn, ``edge_type``, ``left`` (S x k cells of
-    row a of P0^m) and ``right`` (S x k cells of column b of P0^(nu-1-m)).
-    All arrays are read-only.
+    The class also owns the gap kernel, the one E-step over all gaps that
+    EM, the observed log-likelihood and the EM-map Jacobian share.
+    ``gap_masses`` gives each gap type's mass, ``gap_counts`` the expected
+    counts inside all gaps. Flat indices into the power table, whose column
+    k holds the row sums (so b = k reads a trailing gap's continuation
+    mass), are built once: ``mass_cells``, each type's P0^nu[a, b]; and for
+    the S edges m = 0 .. nu - 1 of the types in turn, ``edge_type``,
+    ``left`` (S x k cells of row a of P0^m) and ``right`` (S x k cells of
+    column b of P0^(nu-1-m)). All arrays are read-only.
     """
 
     __slots__ = ("k", "pair_counts", "pair_cells", "pair_n", "a", "nu", "b", "mult", "first",
@@ -140,11 +149,13 @@ class ChainSegments:
         self.left = frozen((m_rows * (k + 1))[:, None] + np.arange(k), np.intp)
         self.right = frozen((rest[:, None] * k + np.arange(k)) * (k + 1) + self.b[edge, None], np.intp)
 
-    def power_table(self, step: np.ndarray) -> np.ndarray:
-        """(nu_max + 1, k, k + 1) table of step^0 .. step^nu_max, row sums in
-        column k, in the dtype of ``step`` (a bool one gives reachability).
-        By doubling: with step^0 .. step^(f-1) known, step^(f-1) times
-        step^1 .. step^n gives the next n powers in one batched matmul."""
+    def gap_masses(self, step: np.ndarray):
+        """(the (nu_max + 1, k, k + 1) table of step^0 .. step^nu_max, row
+        sums in column k, each gap type's mass read from it: step^nu[a, b],
+        or the row sum of step^nu[a] for a trailing gap), in the dtype of
+        ``step``; a bool one gives reachability. By doubling: with step^0 ..
+        step^(f-1) known, step^(f-1) times step^1 .. step^n gives the next n
+        powers in one batched matmul."""
         k, top = self.k, self.nu_max
         table = np.empty((top + 1, k, k + 1), dtype=step.dtype)
         table[0] = np.eye(k, k + 1)
@@ -155,7 +166,23 @@ class ChainSegments:
             n = min(f - 1, top + 1 - f)
             np.matmul(table[f - 1, :, :k], table[1 : n + 1], out=table[f : f + n])
             f += n
-        return table
+        return table, table.take(self.mass_cells)
+
+    def gap_counts(self, p0: np.ndarray):
+        """(expected counts inside all gaps, gap masses) at the unrecorded part
+        ``p0``: each edge's row of P0^m and column of P0^(nu-1-m), weighted
+        by its type's multiplicity over mass, in one matmul. Raises
+        ZeroDenominatorError when a gap has no unrecorded path. Any dtype of
+        ``p0`` works (a complex one gives the complex-step Jacobian in
+        ``sem``); the check reads the real part of the masses."""
+        table, masses = self.gap_masses(p0)
+        bad = np.flatnonzero(masses.real <= 0.0)
+        if bad.size:
+            a, nu, b = self.a[bad[0]], self.nu[bad[0]], self.b[bad[0]]
+            what, end = ("continuation", "") if b == self.k else ("path", f" to state {b + 1}")
+            raise ZeroDenominatorError(f"no unrecorded {what} of length {nu} from state {a + 1}{end}")
+        w = (self.mult / masses).take(self.edge_type)
+        return p0 * ((table.take(self.left).T * w) @ table.take(self.right)), masses
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, k: int) -> "ChainSegments":
@@ -290,21 +317,19 @@ def apply_filter(x: CompleteChain, F: FilterMatrix) -> FilteredChain:
 
 
 def classify_transitions(x: CompleteChain, F: FilterMatrix) -> dict:
-    """Classify every transition occurring in x as directly recorded
-    (f_ij = 1), indirectly recorded (f_ij = 0 but both endpoints of some
-    occurrence survive filtering), or unobserved."""
-    observed = _revealed(x.as_indices(), F.bits).tolist()
-    states = x.states
-    out: dict = {}
-    for t in range(x.n_transitions):
-        i, j = states[t], states[t + 1]
-        if F.bits[i - 1, j - 1]:
-            out[(i, j)] = TransitionVisibility.DIRECT
-        elif observed[t] and observed[t + 1]:
-            out[(i, j)] = TransitionVisibility.INDIRECT
-        else:
-            out.setdefault((i, j), TransitionVisibility.UNOBSERVED)
-    return out
+    """Classify every transition occurring in x, keyed (i, j) in row-major
+    order, as directly recorded (f_ij = 1), indirectly recorded (f_ij = 0
+    but both endpoints of some occurrence survive filtering), or unobserved.
+    One tally of the transition cells finds the transitions that occur, and
+    one weighted by "both ends revealed" the ones seen indirectly."""
+    idx, k = x.as_indices(), F.k
+    cells = idx[:-1] * k + idx[1:]
+    observed = _revealed(idx, F.bits)
+    occurs = np.flatnonzero(np.bincount(cells, minlength=k * k))
+    both = np.bincount(cells, weights=observed[:-1] & observed[1:], minlength=k * k)[occurs]
+    kind = np.where(F.bits.ravel()[occurs], 0, np.where(both > 0, 1, 2))
+    names = list(TransitionVisibility)
+    return {(c // k + 1, c % k + 1): names[v] for c, v in zip(occurs.tolist(), kind.tolist())}
 
 
 def dominates(M: FilterMatrix, H: FilterMatrix) -> bool:
@@ -503,8 +528,7 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
         pairs_off = _pair_table(~mask)[y.codes[:-1], y.codes[1:]]
         failures.append((int(np.argmax(pairs_off)), "observed transition off the support"))
 
-    reach = seg.power_table(~F.bits if mask is None else ~F.bits & mask)
-    bad = np.flatnonzero(~reach.take(seg.mass_cells))
+    bad = np.flatnonzero(~seg.gap_masses(~F.bits if mask is None else ~F.bits & mask)[1])
     if bad.size:  # gap types are in order of first occurrence
         i = bad[0]
         rule = (

@@ -173,6 +173,10 @@ class TestChainStorage:
             ((1.7, 2.2, 1), "state 1.7 at position 0 is not an integer"),
             ((1, 2, np.float64(1.5)), "state 1.5 at position 2 is not an integer"),
             (np.array([1.0, 2.5]), "state 2.5 at position 1 is not an integer"),
+            ((1, float("inf")), "state inf at position 1 is not an integer"),
+            ((1, 2, -np.inf), "state -inf at position 2 is not an integer"),
+            ((1, float("nan")), "state nan at position 1 is not an integer"),
+            (np.array([2.0, np.nan]), "state nan at position 1 is not an integer"),
         ],
     )
     def test_non_integral_state_is_not_truncated(self, states, message):

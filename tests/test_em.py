@@ -461,6 +461,15 @@ class TestRunEm:
         with pytest.raises(ConsistencyError):
             run_em(y, F_DIAG)
 
+    @pytest.mark.parametrize("call", [run_em, e_step, observed_loglik])
+    def test_filter_of_the_wrong_size_is_refused_by_validation(self, call):
+        # one check, in validate_consistency, serves all three entry points
+        y, F = FilteredChain((1, 2, 1, 1), StateSpace(2)), FilterMatrix.all_ones(3)
+        args = (y, F) if call is run_em else (y, two_state(0.3, 0.4).theta(), F)
+        with pytest.raises(ValueError) as err:
+            call(*args)
+        assert str(err.value) == "filter is 3x3 but the pattern has k=2"
+
     def test_convergence_at_tight_tolerance(self, bench_matrix, bench_filter):
         chain = simulate_chain(bench_matrix, 1, 1000, seed=42)
         y = apply_filter(chain, bench_filter)

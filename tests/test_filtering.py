@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -94,6 +95,9 @@ class TestFilteredChainStorage:
             ((1, None, 10**30), "state 1000000000000000000000000000000 at position 2 outside 1..2"),
             ((1.7, None, 2.0), "state 1.7 at position 0 is not an integer"),
             ((1, None, 2.0, 1.5), "state 1.5 at position 3 is not an integer"),
+            ((1, float("inf")), "state inf at position 1 is not an integer"),
+            ((1, None, -np.inf), "state -inf at position 2 is not an integer"),
+            ((1, None, float("nan")), "state nan at position 2 is not an integer"),
         ],
     )
     def test_rejections_name_the_position(self, symbols, message):
@@ -104,6 +108,9 @@ class TestFilteredChainStorage:
     def test_from_codes_refuses_a_non_integral_code(self):
         with pytest.raises(ValueError, match="state 2.5 at position 2 is not an integer"):
             FilteredChain.from_codes(np.array([1.0, 0.0, 2.5]), StateSpace(3))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"state {bad} at position 1 is not an integer"):
+                FilteredChain.from_codes(np.array([1.0, bad]), StateSpace(3))
         assert FilteredChain.from_codes(np.array([1.0, 0.0, 2.0]), StateSpace(3)).symbols == (1, None, 2)
 
     def test_from_codes_rejects_negative_codes(self):
@@ -125,6 +132,26 @@ class TestClassify:
     def test_all_ones_all_direct(self, worked_chain):
         cls = classify_transitions(worked_chain, FilterMatrix.all_ones(3))
         assert set(cls.values()) == {TransitionVisibility.DIRECT}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+        st.lists(st.integers(1, k), min_size=2, max_size=30),
+        st.lists(st.booleans(), min_size=k * k, max_size=k * k),
+    )))
+    def test_matches_the_per_transition_definition(self, case):
+        states, flat = case
+        k = int(np.sqrt(len(flat)))
+        x, F = CompleteChain(states, StateSpace(k)), FilterMatrix(np.reshape(flat, (k, k)))
+        survived = [s is not None for s in apply_filter(x, F).symbols]
+        expected: dict = {}
+        for t, (i, j) in enumerate(zip(states, states[1:])):
+            if F.bits[i - 1, j - 1]:
+                expected[(i, j)] = TransitionVisibility.DIRECT
+            elif survived[t] and survived[t + 1]:
+                expected[(i, j)] = TransitionVisibility.INDIRECT
+            else:
+                expected.setdefault((i, j), TransitionVisibility.UNOBSERVED)
+        assert classify_transitions(x, F) == expected
 
 
 class TestDominates:

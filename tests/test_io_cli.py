@@ -183,6 +183,29 @@ def test_failure_exit_codes_are_distinct():
     assert EXIT_OK not in codes
 
 
+class TestFileErrors:
+    """A file that cannot be read or written exits 3 with one error line
+    naming it, never a traceback."""
+
+    @pytest.mark.parametrize("command", [["estimate", "none.txt", "none.csv"], ["check-filter", "none.csv"]])
+    def test_missing_input_exits_parse(self, tmp_path, capsys, command):
+        # estimate reads the filter first
+        assert main(command[:1] + [str(tmp_path / name) for name in command[1:]]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "none.csv") in err and err.count("\n") == 1
+
+    def test_report_into_a_missing_directory_exits_parse(self, tmp_path, bench_files, capsys):
+        p_file, f_file = bench_files
+        chain, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
+        main(["simulate", p_file, "--initial", "1", "--n", "300", "--seed", "1", "--out", str(chain)])
+        main(["filter", str(chain), f_file, "--out", str(y_file)])
+        capsys.readouterr()
+        out = str(tmp_path / "missing" / "report.kv")
+        assert main(["estimate", str(y_file), f_file, "--skip-sem", "--out", out]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err and err.count("\n") == 1
+
+
 class TestSimulateCommand:
     def test_writes_n_plus_one_tokens(self, tmp_path, bench_files):
         p_file, _ = bench_files

@@ -38,7 +38,6 @@ from markovfilter import (
     validate_consistency,
 )
 from markovfilter import io
-from markovfilter.em import _gap_counts
 from markovfilter.filtering import ChainSegments, _coverage_failure
 from test_sem import fd_hessian, moved
 
@@ -114,7 +113,7 @@ def gap_kernel_cases(draw):
 @given(gap_kernel_cases())
 def test_gap_kernel_matches_the_backward_recursion(case):
     seg, p0 = case
-    counts, masses = _gap_counts(seg, p0)
+    counts, masses = seg.gap_counts(p0)
     ref_counts, ref_masses = backward_recursion(seg, p0)
     assert counts.dtype == ref_counts.dtype and masses.dtype == ref_masses.dtype
     for got, ref in ((counts, ref_counts), (masses, ref_masses)):
