@@ -4,7 +4,8 @@ Subcommands cover the whole workflow: simulate a chain, filter it, check a
 filter's identifiability, estimate parameters from a filtered chain (EM +
 supplemented EM + intervals), test hypotheses against a fitted report, and
 embed higher-order chains. Exit codes: 0 success, 3 parse or file error
-(a file that cannot be read or written included), 4 inconsistent pattern,
+(a file that cannot be read or written, and a ``--blank-token`` that would
+not read back as a blank, included), 4 inconsistent pattern,
 5 numerical failure, 6 identifiability unknown (argparse itself exits 2 on
 usage errors). All numbers print with 12 significant digits.
 """

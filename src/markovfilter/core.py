@@ -2,8 +2,14 @@
 complete-data MLE, and the embedding of higher-order chains.
 
 States are labeled 1..k everywhere a user sees them; arrays are indexed
-0-based internally. All value types are immutable after construction and
-safe to share between threads.
+0-based internally. A chain over k states is stored one symbol per
+element of the smallest unsigned dtype that holds k (``_code_dtype``:
+uint8 up to k = 255, uint16 above), and the long-chain loops (simulation,
+the pair tally ``_pair_counts``) work through it in blocks of ``_BLOCK``
+symbols, so no step holds an 8-byte copy of the chain. Arithmetic on
+stored symbols casts explicitly first, so nothing wraps under either
+numpy's 1.x or 2.x casting rules. All value types are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -64,12 +70,43 @@ def _labels(values) -> np.ndarray:
     return arr
 
 
-def _out_of_range(labels: np.ndarray, bad: np.ndarray, k: int) -> None:
-    """Raise for the first position flagged in ``bad``."""
-    where = np.flatnonzero(bad)
-    if where.size:
-        pos = int(where[0])
+def _check_range(labels: np.ndarray, lo: int, k: int) -> None:
+    """Raise for the first label outside lo..k, naming it and its position.
+    A min/max pass decides, so only a failing chain builds a mask."""
+    if labels.min() < lo or labels.max() > k:
+        pos = int(np.argmax((labels < lo) | (labels > k)))
         raise ValueError(f"state {labels[pos]} at position {pos} outside 1..{k}")
+
+
+#: Symbols per block of the long-chain loops; bounds their temporaries.
+_BLOCK = 1 << 16
+
+
+def _code_dtype(k: int) -> np.dtype:
+    """The storage dtype of a chain over k states: the smallest unsigned
+    integer type that holds k, so a filtered chain's codes 0..k fit too."""
+    return np.min_scalar_type(k)
+
+
+def _cells(head: np.ndarray, tail: np.ndarray, base: int) -> np.ndarray:
+    """The flat cells head * base + tail of symbols in 0..base-1, formed in
+    the narrowest unsigned dtype that holds all base**2 of them."""
+    cells = head.astype(np.min_scalar_type(base * base - 1))
+    cells *= base
+    np.add(cells, tail, out=cells, casting="unsafe")  # every cell fits
+    return cells
+
+
+def _pair_counts(symbols: np.ndarray, base: int) -> np.ndarray:
+    """base x base tally of the adjacent pairs (symbols[t], symbols[t+1])
+    of symbols in 0..base-1, one block of ``_BLOCK`` cells at a time, so no
+    step makes an 8-byte copy of the chain (``bincount`` casts its input to
+    ``intp``)."""
+    counts = np.zeros(base * base, dtype=np.intp)
+    for lo in range(0, len(symbols) - 1, _BLOCK):
+        hi = min(lo + _BLOCK, len(symbols) - 1)
+        counts += np.bincount(_cells(symbols[lo:hi], symbols[lo + 1 : hi + 1], base), minlength=base * base)
+    return counts.reshape(base, base)
 
 
 class _ArrayChain:
@@ -86,8 +123,9 @@ class _ArrayChain:
         return chain
 
     def _set(self, array: np.ndarray, space: StateSpace) -> None:
-        """Take ownership of ``array`` (a new array) and freeze it."""
-        array = np.asarray(array, dtype=np.intp)
+        """Take ownership of ``array`` (a new array, values already checked),
+        in the storage dtype, and freeze it."""
+        array = np.asarray(array, dtype=_code_dtype(space.k))
         array.setflags(write=False)
         object.__setattr__(self, "_array", array)
         object.__setattr__(self, "space", space)
@@ -118,8 +156,8 @@ class CompleteChain(_ArrayChain):
     """A fully observed realization: n+1 states, n transitions.
 
     The states are held as one read-only array of 0-based indices
-    (``as_indices``); ``states``, the tuple of 1-based labels, is built on
-    demand.
+    (``as_indices``), in the storage dtype ``_code_dtype(k)``; ``states``,
+    the tuple of 1-based labels, is built on demand.
     """
 
     __slots__ = ()
@@ -128,15 +166,18 @@ class CompleteChain(_ArrayChain):
         labels = _labels(states)
         if len(labels) < 2:
             raise ChainTooShortError("a chain needs at least two states")
-        _out_of_range(labels, (labels < 1) | (labels > space.k), space.k)
-        self._set(labels - 1, space)
+        _check_range(labels, 1, space.k)
+        indices = labels.astype(_code_dtype(space.k), copy=False)  # labels is a new array
+        indices -= indices.dtype.type(1)
+        self._set(indices, space)
 
     @property
     def states(self) -> tuple:
-        return tuple((self._array + 1).tolist())
+        return tuple(np.add(self._array, 1, dtype=np.intp).tolist())
 
     def as_indices(self) -> np.ndarray:
-        """0-based state indices, shape (n+1,), read-only."""
+        """0-based state indices, shape (n+1,), read-only, in the storage
+        dtype: cast before arithmetic that can leave 0..k."""
         return self._array
 
 
@@ -345,17 +386,15 @@ def _as_theta(theta) -> np.ndarray:
     return np.asarray(theta, dtype=float).reshape(-1)
 
 
-#: Draws per block of the simulation walk; bounds the size of its lookup table.
-_SIM_BLOCK = 1 << 16
-
-
 def simulate_chain(P: TransitionMatrix, initial: int, n: int, seed: int) -> CompleteChain:
     """Draw n transitions starting from ``initial``; deterministic per seed.
 
     Step t moves from state i to the first state whose cumulative row
     probability exceeds draw t (the last state if none does). The successor
-    of every state is looked up for a block of draws at once; the walk then
-    only follows that table.
+    of every state is looked up for a block of draws at once, ``_BLOCK``
+    successors in all; the walk then only follows that table, one row of k
+    successors per step. The draws come one block at a time, the same
+    stream as one call for all n.
     """
     k = P.k
     if not 1 <= initial <= k:
@@ -364,29 +403,23 @@ def simulate_chain(P: TransitionMatrix, initial: int, n: int, seed: int) -> Comp
         raise ValueError("need at least one transition")
     rng = np.random.default_rng(seed)
     cum = np.cumsum(P.probs, axis=1)
-    draws = rng.random(n)
-    states = np.empty(n + 1, dtype=np.intp)
+    states = np.empty(n + 1, dtype=_code_dtype(k))
     cur = states[0] = initial - 1
-    for lo in range(0, n, _SIM_BLOCK):
-        block = draws[lo : lo + _SIM_BLOCK]
-        # table[t * k + i]: the state reached from i with draw lo + t
+    size = max(1, _BLOCK // k)
+    for lo in range(0, n, size):
+        block = rng.random(min(size, n - lo))
+        # table[t, i]: the state reached from i with draw lo + t
         table = np.empty((block.size, k), dtype=np.intp)
         for i in range(k):
             table[:, i] = np.searchsorted(cum[i], block, side="right")
-        table = np.minimum(table, k - 1, out=table).ravel().tolist()
-        path = []
-        for base in range(0, len(table), k):
-            cur = table[base + cur]
-            path.append(cur)
-        states[lo + 1 : lo + 1 + len(path)] = path
+        rows = zip(*[iter(np.minimum(table, k - 1, out=table).ravel().tolist())] * k)
+        states[lo + 1 : lo + 1 + block.size] = [cur := row[cur] for row in rows]
     return CompleteChain._of(states, StateSpace(k))
 
 
 def transition_counts(x: CompleteChain) -> CountMatrix:
     """Count adjacent (i, j) pairs; the total equals the transition count n."""
-    k = x.space.k
-    idx = x.as_indices()
-    return CountMatrix(np.bincount(idx[:-1] * k + idx[1:], minlength=k * k).reshape(k, k))
+    return CountMatrix(_pair_counts(x.as_indices(), x.space.k))
 
 
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
@@ -437,9 +470,10 @@ def embed_higher_order(x: CompleteChain, s: int) -> CompleteChain:
     k = x.space.k
     idx = x.as_indices()
     m = len(x) - s + 1
-    code = np.zeros(m, dtype=np.int64)
+    code = np.zeros(m, dtype=_code_dtype(k**s))  # every partial code is below k**s
     for j in range(s):  # base-k digits, oldest coordinate most significant
-        code = code * k + idx[j : j + m]
+        code *= k
+        code += idx[j : j + m]
     return CompleteChain._of(code, StateSpace(k**s))
 
 

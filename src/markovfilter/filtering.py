@@ -10,6 +10,15 @@ identifiable; data reduced by any filter above such a D stays estimable.
 One search per family serves both questions: a family's witness lies below
 F, so F is itself a member exactly when the witness has as many ones as F.
 
+A filtered chain's codes (0 blank, 1..k a state) are stored in the
+smallest unsigned dtype that holds k, as a complete chain's states are.
+What a filter reveals is one flat lookup of each transition's cell, formed
+by ``core._cells`` in a dtype just wide enough for the k**2 cells; the pair
+tallies of ``transition_counts``, ``classify_transitions`` and the
+segmentation are one helper, ``core._pair_counts``. No step of the
+long-chain path makes an 8-byte copy of the chain; only the per-gap
+arrays are ``intp``.
+
 ``ChainSegments`` cuts a filtered chain into observed pairs and gap types
 once, and owns the gap kernel that reads them: the power table of a step
 matrix with each gap type's mass (a bool step for validation, the
@@ -24,7 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompleteChain, StateSpace, _ArrayChain, _labels, _out_of_range, _readonly, support_mask
+from .core import (
+    CompleteChain,
+    StateSpace,
+    _ArrayChain,
+    _cells,
+    _check_range,
+    _labels,
+    _pair_counts,
+    _readonly,
+    support_mask,
+)
 from .errors import ConsistencyError, ZeroDenominatorError
 
 #: Placeholder for a hidden state inside a filtered chain.
@@ -73,8 +92,9 @@ def _pair_table(bits: np.ndarray) -> np.ndarray:
 def _revealed(states: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Which positions of chains of 0-based ``states`` (along the last
     axis) the filter ``bits`` reveals: position 0, and each end of a
-    recorded transition. The one rule for what a filter leaves observed."""
-    recorded = bits.ravel()[states[..., :-1] * bits.shape[1] + states[..., 1:]]
+    recorded transition. The one rule for what a filter leaves observed.
+    Each transition's flat cell is looked up in one gather."""
+    recorded = bits.ravel()[_cells(states[..., :-1], states[..., 1:], bits.shape[1])]
     revealed = np.empty(states.shape, dtype=bool)
     revealed[..., 0] = True
     revealed[..., 1:] = recorded
@@ -93,11 +113,11 @@ def _gaps(codes: np.ndarray, k: int):
     edges = np.flatnonzero(blank[1:] != blank[:-1])
     first = edges[0::2]
     end = edges[1::2] + 1
-    b = codes[end] - 1
+    b = codes[end].astype(np.intp) - 1
     nu = end - first[: end.size]
     if first.size > end.size:  # trailing gap
         nu, b = np.append(nu, len(codes) - 1 - first[-1]), np.append(b, k)
-    return first, codes[first] - 1, nu, b
+    return first, codes[first].astype(np.intp) - 1, nu, b
 
 
 class ChainSegments:
@@ -189,8 +209,7 @@ class ChainSegments:
         """Segment a chain given as codes (1..k observed, 0 blank, first
         symbol observed)."""
         # tally pairs by code pair in a (k+1) x (k+1) table; code 0 is a blank
-        pairs = codes[:-1] * (k + 1) + codes[1:]
-        pair_counts = np.bincount(pairs, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[1:, 1:]
+        pair_counts = _pair_counts(codes, k + 1)[1:, 1:]
         first, a, nu, b = _gaps(codes, k)
         # key gaps by (a, rank of nu among the distinct lengths, b): the
         # distinct lengths sum to at most n, so there are at most sqrt(2n)
@@ -208,9 +227,11 @@ class FilteredChain(_ArrayChain):
     """Sequence of observed states and blanks produced by a filter.
 
     The chain is held as one read-only integer array ``codes``: 1..k for an
-    observed state, 0 for a blank. The first symbol is always observed (the
-    initial state is known). ``symbols``, the tuple of 1-based labels with
-    ``None`` for blanks, is built on demand. ``segments`` cuts the chain into
+    observed state, 0 for a blank, in the storage dtype
+    ``core._code_dtype(k)`` (cast before arithmetic that can leave 0..k).
+    The first symbol is always observed (the initial state is known).
+    ``symbols``, the tuple of 1-based labels with ``None`` for blanks, is
+    built on demand. ``segments`` cuts the chain into
     observed pairs and gaps on first use and keeps the result, so validation,
     EM and SEM share one segmentation of the chain.
     """
@@ -220,27 +241,30 @@ class FilteredChain(_ArrayChain):
     def __init__(self, symbols, space: StateSpace):
         symbols = tuple(symbols)
         blank = np.array([s is None for s in symbols], dtype=bool)
-        self._check(_labels([0 if s is None else s for s in symbols]), space, blank)
+        # a blank stands in as state 1 for the checks, so an explicit 0 is out of range
+        codes = _labels([1 if s is None else s for s in symbols])
+        self._check(codes, 1, blank[:1].any(), space)
+        codes[blank] = 0
+        self._set(codes, space)
 
     @classmethod
     def from_codes(cls, codes, space: StateSpace) -> "FilteredChain":
         """Chain from codes: 1..k for observed states, 0 for blanks."""
         y = cls.__new__(cls)
-        y._check(_labels(codes), space)
+        codes = _labels(codes)
+        y._check(codes, 0, len(codes) and codes[0] == 0, space)
+        y._set(codes, space)
         return y
 
-    def _check(self, codes: np.ndarray, space: StateSpace, blank=None) -> None:
-        """Validate and take ``codes``; ``blank`` marks the blanks when an
-        explicit 0 is not one but a state out of range."""
+    @staticmethod
+    def _check(codes: np.ndarray, lo: int, initial_blank, space: StateSpace) -> None:
+        """Refuse a chain shorter than two symbols, a blank initial state,
+        or a code outside lo..k."""
         if len(codes) < 2:
             raise ValueError("a filtered chain needs at least two symbols")
-        if (codes[0] == 0) if blank is None else blank[0]:
+        if initial_blank:
             raise ValueError("the initial state must be observed")
-        bad = (codes < 0) | (codes > space.k)
-        if blank is not None:
-            bad |= (codes == 0) & ~blank
-        _out_of_range(codes, bad, space.k)
-        self._set(codes, space)
+        _check_range(codes, lo, space.k)
 
     def _set(self, codes: np.ndarray, space: StateSpace) -> None:
         super()._set(codes, space)
@@ -313,20 +337,20 @@ def apply_filter(x: CompleteChain, F: FilterMatrix) -> FilteredChain:
     if F.k != x.space.k:
         raise ValueError(f"filter is {F.k}x{F.k} but the chain has k={x.space.k}")
     idx = x.as_indices()
-    return FilteredChain._of(np.where(_revealed(idx, F.bits), idx + 1, 0), x.space)
+    codes = idx + idx.dtype.type(1)  # indices stop at k - 1, so codes fit the dtype
+    codes *= _revealed(idx, F.bits)
+    return FilteredChain._of(codes, x.space)
 
 
 def classify_transitions(x: CompleteChain, F: FilterMatrix) -> dict:
     """Classify every transition occurring in x, keyed (i, j) in row-major
     order, as directly recorded (f_ij = 1), indirectly recorded (f_ij = 0
     but both endpoints of some occurrence survive filtering), or unobserved.
-    One tally of the transition cells finds the transitions that occur, and
-    one weighted by "both ends revealed" the ones seen indirectly."""
-    idx, k = x.as_indices(), F.k
-    cells = idx[:-1] * k + idx[1:]
-    observed = _revealed(idx, F.bits)
-    occurs = np.flatnonzero(np.bincount(cells, minlength=k * k))
-    both = np.bincount(cells, weights=observed[:-1] & observed[1:], minlength=k * k)[occurs]
+    One pair tally of the chain finds the transitions that occur, and one of
+    its filtered codes the ones with both ends revealed."""
+    k = F.k
+    occurs = np.flatnonzero(_pair_counts(x.as_indices(), k))
+    both = _pair_counts(apply_filter(x, F).codes, k + 1)[1:, 1:].ravel()[occurs]
     kind = np.where(F.bits.ravel()[occurs], 0, np.where(both > 0, 1, 2))
     names = list(TransitionVisibility)
     return {(c // k + 1, c % k + 1): names[v] for c, v in zip(occurs.tolist(), kind.tolist())}
@@ -498,7 +522,9 @@ def _coverage_failure(y: FilteredChain, F: FilterMatrix):
     read on the codes, with a blank's transitions unrecorded.
     """
     codes = y.codes
-    bad = np.flatnonzero((codes != 0) & ~_revealed(codes, _pair_table(F.bits)))
+    hidden = ~_revealed(codes, _pair_table(F.bits))
+    hidden &= codes != 0
+    bad = np.flatnonzero(hidden)
     return int(bad[0]) if bad.size else None
 
 

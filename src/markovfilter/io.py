@@ -2,14 +2,19 @@
 plain CSV (one row per line), filtered chains with a configurable blank
 token, and flat dotted-key reports for machine consumption.
 
-A chain file is read in one of two ways, decided only by its contents. If
-every token is a single byte (labels 1-9, a one-character blank token,
-ASCII whitespace between), its bytes are translated through a 256-entry
-table, without a Python object per token. Any other byte, such as a label
-of 10 or more, ``01``, ``NA``, a non-ASCII byte or \x1c-\x1f (separators
-only for ``str.split``), sends the file through one loop over its tokens
-that parses each distinct spelling once. Both give the same codes and the
-same error messages."""
+A chain file is read as bytes, in one of two ways decided only by its
+contents. If every token is a single byte (labels 1-9, a one-character
+blank token, ASCII whitespace between), its bytes are translated through
+two 256-entry tables, without a Python object per token: one to their
+shapes, which show whether two tokens touch, and one to the codes, which
+drops the whitespace. Any other byte, such as a label of 10 or more,
+``01``, ``NA``, a non-ASCII byte or \x1c-\x1f (separators only for
+``str.split``), sends the file through one loop over its tokens that
+parses each distinct spelling once. Both give the same codes, in the
+chain's storage dtype, and the same error messages. The writers are the
+inverse: a table from code to token, through which a chain is written in
+one numpy gather. Text is encoded as ``Path.read_text``/``write_text``
+would, in the locale's preferred encoding."""
 
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CompleteChain, StateSpace, TransitionMatrix
+from .core import CompleteChain, StateSpace, TransitionMatrix, _code_dtype
 from .errors import FileFormatError
 from .filtering import FilteredChain, FilterMatrix
 
@@ -26,31 +31,45 @@ from .filtering import FilteredChain, FilterMatrix
 #: splits on \x1c-\x1f, so a file holding those takes the token path.
 _SPACE = b" \t\n\r\x0b\x0c"
 _NOT_A_TOKEN = 0xFF
+#: Two adjacent token bytes of a file's shape, read as one uint16.
+_TOUCHING = np.frombuffer(b"xx", dtype=np.uint16)[0]
 
 
-def _byte_codes(text: str, k: int, blank_token) -> np.ndarray | None:
-    """Codes of a file whose tokens are all one byte, from one translation
-    of its bytes through a 256-entry table; None when some byte is not a
+def _encoding() -> str:
+    """The encoding ``Path.read_text`` and ``write_text`` use by default."""
+    import locale  # only chain files need it; at the top it adds 1 ms to every import
+
+    return locale.getpreferredencoding(False)
+
+
+def _byte_codes(data, k: int, blank_token) -> np.ndarray | None:
+    """Codes, as a read-only uint8 array, of a file (bytes, or text to
+    encode) whose tokens are all one byte; None when some byte is not a
     one-digit label, the blank token or ASCII whitespace, or two tokens
-    touch."""
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
+    touch. One translation of the bytes to their shapes (token ``x``, space
+    or neither) decides; a second maps each token to its code and drops the
+    whitespace."""
+    if isinstance(data, str):
+        data = data.encode(_encoding())
     table = bytearray([_NOT_A_TOKEN]) * 256
     for s in range(1, min(k, 9) + 1):
         table[ord(str(s))] = s
     if blank_token is not None and len(blank_token) == 1 and blank_token.isascii() and not blank_token.isspace():
         table[ord(blank_token)] = 0  # wins over a label
+    shapes = bytearray(_NOT_A_TOKEN if code == _NOT_A_TOKEN else ord("x") for code in table)
     for byte in _SPACE:
-        table[byte] = ord(" ")
-    mapped = raw.translate(table)
-    if _NOT_A_TOKEN in mapped:
+        shapes[byte] = ord(" ")
+    shape = data.translate(shapes)
+    if _NOT_A_TOKEN in shape:
         return None
-    token = np.frombuffer(mapped, dtype=np.uint8) <= 9
-    if (token[1:] & token[:-1]).any():
-        return None
-    return np.frombuffer(mapped.translate(None, b" "), dtype=np.uint8).astype(np.intp)
+    # two tokens touch iff two adjacent bytes read "xx": compare the byte
+    # pairs that start at even offsets, then those at odd ones
+    for offset in (0, 1):
+        pairs = np.frombuffer(memoryview(shape)[offset:], dtype=np.uint16, count=(len(shape) - offset) // 2)
+        if (pairs == _TOUCHING).any():
+            return None
+    del shape, pairs  # so that the shape and the codes never coexist
+    return np.frombuffer(data.translate(table, _SPACE), dtype=np.uint8)
 
 
 def _read_codes(path: Path, k: int, blank_token=None) -> np.ndarray:
@@ -61,10 +80,12 @@ def _read_codes(path: Path, k: int, blank_token=None) -> np.ndarray:
     spelling not seen before goes through ``int()`` and the range check,
     which accept any ``int()`` spelling of a label and name the first bad
     token by position; its code is then remembered."""
-    text = path.read_text()
-    codes = _byte_codes(text, k, blank_token)
+    data = path.read_bytes()
+    codes = _byte_codes(data, k, blank_token)
     if codes is not None:
         return codes
+    text = data.decode(_encoding())
+    del data
     expected = "not a state label" if blank_token is None else f"neither a state nor {blank_token!r}"
     known = {blank_token: 0}
     codes = []
@@ -79,7 +100,7 @@ def _read_codes(path: Path, k: int, blank_token=None) -> np.ndarray:
                 raise FileFormatError(path, f"token {pos + 1}: state {code} outside 1..{k}")
             known[tok] = code
         codes.append(code)
-    return np.array(codes, dtype=np.intp)
+    return np.array(codes, dtype=_code_dtype(k))
 
 
 def read_chain(path, k: int) -> CompleteChain:
@@ -90,8 +111,25 @@ def read_chain(path, k: int) -> CompleteChain:
     return CompleteChain(states, StateSpace(k))
 
 
+def _write_tokens(path, codes: np.ndarray, names: list) -> None:
+    """Write token ``names[c]`` for each code c, a space after each but the
+    last, which gets a newline: the inverse of the reader's byte table. Each
+    token with its space is one row of a table padded to the longest, so
+    the output is one gather of rows; a second step drops the padding when
+    the names differ in length."""
+    names = [name.encode(_encoding()) + b" " for name in names]
+    width = max(len(name) for name in names)
+    table = np.frombuffer(b"".join(name.ljust(width) for name in names), dtype=f"V{width}")
+    out = table[codes].view(np.uint8)
+    lengths = np.array([len(name) for name in names], dtype=np.min_scalar_type(width))
+    if (lengths < width).any():
+        out = out.reshape(-1, width)[np.arange(width, dtype=lengths.dtype) < lengths[codes][:, None]]
+    out[-1] = ord("\n")
+    Path(path).write_bytes(out)
+
+
 def write_chain(path, chain: CompleteChain) -> None:
-    Path(path).write_text(" ".join(str(s) for s in chain.states) + "\n")
+    _write_tokens(path, chain.as_indices(), [str(s) for s in chain.space.labels])
 
 
 def read_filtered_chain(path, k: int, blank_token: str = "-") -> FilteredChain:
@@ -106,7 +144,18 @@ def read_filtered_chain(path, k: int, blank_token: str = "-") -> FilteredChain:
 
 
 def write_filtered_chain(path, y: FilteredChain, blank_token: str = "-") -> None:
-    Path(path).write_text(y.to_text(blank_token) + "\n")
+    """Write the chain's tokens, ``blank_token`` for a blank. Raises
+    ValueError, before the file is opened, for a blank token that would not
+    read back as a blank: an empty one, one containing whitespace, or a
+    state label of the chain."""
+    labels = [str(s) for s in y.space.labels]
+    if not blank_token:
+        raise ValueError("the blank token is empty")
+    if any(c.isspace() for c in blank_token):
+        raise ValueError(f"the blank token {blank_token!r} contains whitespace")
+    if blank_token in labels:
+        raise ValueError(f"the blank token {blank_token!r} is a state label")
+    _write_tokens(path, y.codes, [blank_token] + labels)
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -39,10 +39,10 @@ def _fill(codes: np.ndarray, k: int):
     """Every way to fill the blanks (code 0) of ``codes`` with states, the
     first blank most significant: (rows, cells), the k**b candidates as
     0-based rows of shape (k**b, n+1) and each row's flat transition cells
-    i*k + j, shape (k**b, n)."""
+    i*k + j, shape (k**b, n), both ``intp``."""
     blanks = np.flatnonzero(codes == 0)
     m = k**blanks.size
-    rows = np.repeat(codes[None, :] - 1, m, axis=0)
+    rows = np.repeat(codes[None, :].astype(np.intp) - 1, m, axis=0)
     rows[:, blanks] = np.indices((k,) * blanks.size).reshape(blanks.size, m).T
     return rows, rows[:, :-1] * k + rows[:, 1:]
 

@@ -9,6 +9,7 @@ from markovfilter import (
     FilterMatrix,
     StateSpace,
     FilteredChain,
+    apply_filter,
     e_step,
     io,
     m_step,
@@ -145,7 +146,7 @@ class TestReadFilteredChain:
         write(path, text)
         y = io.read_filtered_chain(path, 3, blank_token=blank)
         assert y.symbols == symbols
-        assert y.codes.dtype == np.intp
+        assert y.codes.dtype == np.uint8
 
     @pytest.mark.parametrize(
         "text, k, blank, codes",
@@ -272,6 +273,41 @@ class TestFilterCommand:
 
         chain = io.read_chain(chain_file, 3)
         assert y.symbols == apply_filter(chain, FilterMatrix(BENCH_FILTER)).symbols
+
+
+class TestBlankToken:
+    """The writer refuses a blank token that would not read back as a blank."""
+
+    @pytest.mark.parametrize("blank", ["2", "", " ", "a b", "-\t", "\x1c"])
+    def test_writer_refuses(self, tmp_path, blank):
+        y = FilteredChain((1, None, 2, 3), StateSpace(3))
+        path = tmp_path / "y.txt"
+        with pytest.raises(ValueError, match="blank token"):
+            io.write_filtered_chain(path, y, blank)
+        assert not path.exists()
+
+    @pytest.fixture
+    def chain_file(self, tmp_path, bench_files):
+        p_file, _ = bench_files
+        chain = tmp_path / "chain.txt"
+        main(["simulate", p_file, "--initial", "1", "--n", "50", "--seed", "0", "--out", str(chain)])
+        return chain
+
+    @pytest.mark.parametrize("blank", ["2", ""])
+    def test_filter_command_exits_3(self, tmp_path, bench_files, chain_file, capsys, blank):
+        out = tmp_path / "y.txt"
+        code = main(["filter", str(chain_file), bench_files[1], "--blank-token", blank, "--out", str(out)])
+        assert code == EXIT_PARSE
+        assert "blank token" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blank", ["0", "NA", "02", "-"])
+    def test_round_trip(self, tmp_path, bench_files, chain_file, blank):
+        out = tmp_path / "y.txt"
+        assert main(["filter", str(chain_file), bench_files[1], "--blank-token", blank, "--out", str(out)]) == EXIT_OK
+        expected = apply_filter(io.read_chain(chain_file, 3), FilterMatrix(BENCH_FILTER))
+        assert None in expected.symbols
+        assert io.read_filtered_chain(out, 3, blank) == expected
 
 
 class TestCheckFilterCommand:
