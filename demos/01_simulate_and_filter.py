@@ -36,7 +36,7 @@ print(" ".join(str(s) for s in chain.states))
 
 y = apply_filter(chain, F)
 print("\nfiltered chain (blanks shown as '-'):")
-print(y.to_text())
+print(" ".join("-" if s is None else str(s) for s in y.symbols))
 print(f"\nfraction of symbols discarded: {reduction_fraction(y):.3f}")
 
 print("\nhow each occurring transition fares under this filter:")

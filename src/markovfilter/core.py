@@ -181,13 +181,24 @@ class CompleteChain(_ArrayChain):
         return self._array
 
 
-def support_mask(support, k: int):
-    """The structural support as a read-only k x k bool mask, or None when
-    ``support`` is None (every transition allowed). A mask must allow at
-    least one transition in every row and every column."""
+def _zero_one(values, what: str) -> np.ndarray:
+    """``values`` as a new read-only bool array: the one reader of 0/1
+    masks (filters and supports). Bool entries, and entries equal to 0 or
+    1, are accepted; anything else raises ValueError."""
+    arr = np.asarray(values)
+    if arr.dtype != bool and not np.isin(arr, (0, 1)).all():
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return _readonly(arr, bool)
+
+
+def support_mask(support, k: int) -> np.ndarray:
+    """The structural support as a read-only k x k bool mask, the one
+    reader of a support: None is the all-ones mask (every transition
+    allowed); any other value must be a k x k 0/1 mask (``_zero_one``) that
+    allows at least one transition in every row and every column."""
     if support is None:
-        return None
-    mask = _readonly(support, bool)
+        return _readonly(np.ones((k, k), dtype=bool), bool)
+    mask = _zero_one(support, "support")
     if mask.shape != (k, k):
         raise ValueError(f"support mask must be {k} x {k}, got shape {mask.shape}")
     if not (mask.any(axis=1).all() and mask.any(axis=0).all()):
@@ -215,8 +226,6 @@ class TransitionMatrix:
         if probs.shape[0] < 2:
             raise ValueError("need at least two states")
         support = support_mask(self.support, probs.shape[0])
-        if support is None:
-            support = _readonly(np.ones(probs.shape), bool)
         object.__setattr__(self, "support", support)
         if not np.isfinite(probs).all():
             raise ValueError("non-finite transition probability")
@@ -336,10 +345,6 @@ class ParamVector:
 
     def to_matrix(self, support=None) -> TransitionMatrix:
         return TransitionMatrix.from_probs(self.to_probs(), support)
-
-    @classmethod
-    def from_matrix(cls, P: TransitionMatrix) -> "ParamVector":
-        return cls(probs_to_theta(P.probs), P.space)
 
 
 @dataclass(frozen=True)

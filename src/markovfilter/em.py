@@ -114,21 +114,6 @@ def segment_chain(y: FilteredChain):
     return pairs, list(map(GapSegment, (a + 1).tolist(), nu.tolist(), ends))
 
 
-def gap_expected_counts(gap: GapSegment, S: SplitMatrices) -> CountMatrix:
-    """Conditional expected counts of each transition inside one gap.
-
-    For an interior gap (a, nu, b) and edge index m, a move alpha -> beta
-    contributes P0^m[a, alpha] * P0[alpha, beta] * P0^(nu-1-m)[beta, b]
-    over P0^nu[a, b]; trailing gaps replace the b-column with row sums.
-    """
-    end = gap.next_state
-    seg = ChainSegments(
-        S.k, np.zeros((S.k, S.k)), [gap.prev_state - 1], [gap.length],
-        [S.k if end is None else end - 1], [1.0], [0],
-    )
-    return CountMatrix(seg.gap_counts(S.p0)[0])
-
-
 def _e_pass(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> tuple:
     """The E-step pass: (expected counts, observed log-likelihood) at
     ``probs`` under the filter ``bits``. Raises ZeroDenominatorError when a
@@ -194,10 +179,10 @@ def run_em(
     validate_consistency(y, F, mask)
     seg = y.segments
     if theta0 is None:
-        probs = np.full((k, k), 1.0 / k) if mask is None else mask / mask.sum(axis=1, keepdims=True)
+        probs = mask / mask.sum(axis=1, keepdims=True)
     else:
         probs = _as_probs(theta0, k)
-        if mask is not None and np.any(probs[~mask] != 0.0):
+        if np.any(probs[~mask] != 0.0):
             raise ValueError("starting point puts mass on a structural zero")
 
     trace = []

@@ -41,7 +41,7 @@ from .core import (
     _check_range,
     _labels,
     _pair_counts,
-    _readonly,
+    _zero_one,
     support_mask,
 )
 from .errors import ConsistencyError, ZeroDenominatorError
@@ -57,12 +57,7 @@ class FilterMatrix:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits)
-        if bits.dtype != bool:
-            if not np.isin(bits, (0, 1)).all():
-                raise ValueError("filter entries must be 0 or 1")
-            bits = bits.astype(bool)
-        bits = _readonly(bits, bool)
+        bits = _zero_one(self.bits, "filter")
         object.__setattr__(self, "bits", bits)
         if bits.ndim != 2 or bits.shape[0] != bits.shape[1] or bits.shape[0] < 2:
             raise ValueError(f"filter must be square of size >= 2, got {bits.shape}")
@@ -289,13 +284,6 @@ class FilteredChain(_ArrayChain):
     def blank_count(self) -> int:
         return len(self._array) - int(np.count_nonzero(self._array))
 
-    def tokens(self, blank_token: str = "-") -> list:
-        names = np.array([blank_token] + [str(s) for s in self.space.labels], dtype=object)
-        return names[self._array].tolist()
-
-    def to_text(self, blank_token: str = "-", sep: str = " ") -> str:
-        return sep.join(self.tokens(blank_token))
-
 
 class TransitionVisibility(enum.Enum):
     DIRECT = "directly recorded"
@@ -314,9 +302,11 @@ class IdentifiabilityVerdict:
 
     ``verdict`` is SUFFICIENT_IDENTIFIABLE exactly when a closure witness
     exists; when the support mask has a structural zero, the witness must
-    also meet the per-row restriction R. ``satisfies_r`` is the literal row
-    check of ``satisfies_r`` whenever a support is given (an all-ones one
-    included), and True without one. UNKNOWN is not a proof of
+    also meet the per-row restriction R. ``satisfies_r`` is the row check
+    of ``satisfies_r`` whenever a support is given (an all-ones one
+    included), and True when none is given (the function ``satisfies_r``
+    reads a missing support as the all-ones mask, so it agrees except
+    where a row records nothing). UNKNOWN is not a proof of
     non-identifiability; it only means the sufficient conditions fail.
     """
 
@@ -406,25 +396,23 @@ def _c1_search(bits: np.ndarray):
     return int(np.flatnonzero(~wit.any(axis=1))[0]), int(free[0]), wit
 
 
-def _c2_search(bits: np.ndarray, support=None):
+def _c2_search(bits: np.ndarray, edges: np.ndarray):
     """(alpha, beta, witness), 0-based with alpha < beta, of the
     two-zero-column family below ``bits``, or None: rows alpha and beta full
-    outside {alpha, beta} and a perfect matching on the rest. With a support
-    mask the matching uses allowed transitions only and rows alpha, beta
-    must record an allowed one (restriction R)."""
+    outside {alpha, beta} and a perfect matching on the rest. The matching
+    runs on ``edges``, the recorded transitions a support allows (``bits``
+    itself without one), and rows alpha, beta must keep one of them outside
+    {alpha, beta} (restriction R, which ``bits`` always meets)."""
     k = bits.shape[0]
     if k < 3:
         return None
-    edges = bits if support is None else bits & support
     rows = np.flatnonzero(bits.sum(axis=1) >= k - 2).tolist()  # the only candidates
     for i, a in enumerate(rows):
         for b in rows[i + 1 :]:
             outside = [c for c in range(k) if c not in (a, b)]
             if not (bits[a, outside].all() and bits[b, outside].all()):
                 continue
-            if support is not None and not (
-                support[a, outside].any() and support[b, outside].any()
-            ):
+            if not (edges[a, outside].any() and edges[b, outside].any()):
                 continue
             match = _matching(edges[np.ix_(outside, outside)])
             if (match >= 0).all():
@@ -453,7 +441,7 @@ def in_class_c2(F: FilterMatrix):
     """Witness (alpha, beta), 1-based with alpha < beta, iff columns alpha and
     beta are zero, rows alpha and beta are all ones outside {alpha, beta}, and
     the remaining (k-2)x(k-2) submatrix is a permutation matrix."""
-    return _member(_c2_search(F.bits), F, 3 * (F.k - 2))
+    return _member(_c2_search(F.bits, F.bits), F, 3 * (F.k - 2))
 
 
 def in_class_c3(F: FilterMatrix):
@@ -478,7 +466,8 @@ def closure_witness(F: FilterMatrix, support=None):
 
 
 def satisfies_r(F: FilterMatrix, support) -> bool:
-    """True iff every row records at least one transition the support allows."""
+    """True iff every row records at least one transition the support
+    (read by ``support_mask``; None allows every transition) allows."""
     return bool((F.bits & support_mask(support, F.k)).any(axis=1).all())
 
 
@@ -493,7 +482,7 @@ def identifiability_verdict(F: FilterMatrix, support=None) -> IdentifiabilityVer
     # a C1 witness is a matching of k-1 edges, so F then has no two zero
     # columns or rows: it is in neither pair family and needs no other witness
     if c1 is None:
-        c2, c3 = _c2_search(F.bits), _c2_search(F.bits.T)
+        c2, c3 = _c2_search(F.bits, F.bits), _c2_search(F.bits.T, F.bits.T)
         if c3 is not None:
             c3 = (c3[0], c3[1], c3[2].T)
     mask = support_mask(support, F.k)
@@ -501,14 +490,14 @@ def identifiability_verdict(F: FilterMatrix, support=None) -> IdentifiabilityVer
     # one-zero-row and two-zero-row families observe nothing in their zero
     # rows, so R rules them out, and the two-zero-column search then runs on
     # the allowed transitions
-    found = _c2_search(F.bits, mask) if mask is not None and not mask.all() else c1 or c2 or c3
+    found = _c2_search(F.bits, F.bits & mask) if not mask.all() else c1 or c2 or c3
     pair_ones = 3 * (F.k - 2)
     return IdentifiabilityVerdict(
         in_c1=_member(c1, F, F.k - 1) is not None,
         in_c2=_member(c2, F, pair_ones) is not None,
         in_c3=_member(c3, F, pair_ones) is not None,
         closure_witness=None if found is None else FilterMatrix(found[2]),
-        satisfies_r=True if mask is None else satisfies_r(F, mask),
+        satisfies_r=support is None or satisfies_r(F, mask),
         verdict=Verdict.SUFFICIENT_IDENTIFIABLE if found is not None else Verdict.UNKNOWN,
     )
 
@@ -533,10 +522,10 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
     produces ``y`` under ``apply_filter``.
 
     Checks: every observed position but position 0 has a recorded
-    transition to or from an observed neighbour; with a support mask,
-    observed adjacent pairs lie on the support; every gap is spanned by an
-    unrecorded path through the support graph (every transition when the
-    support is None); trailing blanks admit at least one all-unrecorded
+    transition to or from an observed neighbour; observed adjacent pairs
+    lie on the support (read by ``support_mask``: None allows every
+    transition); every gap is spanned by an unrecorded path through the
+    support graph; trailing blanks admit at least one all-unrecorded
     continuation of the right length. The failure reported is the one at
     the smallest position (a gap's position is its first blank).
     """
@@ -550,11 +539,11 @@ def validate_consistency(y: FilteredChain, F: FilterMatrix, support=None) -> Non
     if cov is not None:
         failures.append((cov, "observed position has no recorded adjacent transition"))
 
-    if mask is not None and not mask.take(seg.pair_cells).all():
+    if not mask.take(seg.pair_cells).all():
         pairs_off = _pair_table(~mask)[y.codes[:-1], y.codes[1:]]
         failures.append((int(np.argmax(pairs_off)), "observed transition off the support"))
 
-    bad = np.flatnonzero(~seg.gap_masses(~F.bits if mask is None else ~F.bits & mask)[1])
+    bad = np.flatnonzero(~seg.gap_masses(~F.bits & mask)[1])
     if bad.size:  # gap types are in order of first occurrence
         i = bad[0]
         rule = (

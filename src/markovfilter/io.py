@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CompleteChain, StateSpace, TransitionMatrix, _code_dtype
+from .core import CompleteChain, StateSpace, TransitionMatrix, _code_dtype, _zero_one
 from .errors import FileFormatError
 from .filtering import FilteredChain, FilterMatrix
 
@@ -195,9 +195,10 @@ def write_matrix_csv(path, matrix) -> None:
 
 def read_filter_csv(path) -> FilterMatrix:
     values = read_matrix_csv(path)
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise FileFormatError(path, "filter entries must be 0 or 1")
-    return FilterMatrix(values.astype(bool))
+    try:
+        return FilterMatrix(values)
+    except ValueError as err:
+        raise FileFormatError(path, str(err))
 
 
 def read_probability_csv(path, support=None) -> TransitionMatrix:
@@ -209,10 +210,13 @@ def read_probability_csv(path, support=None) -> TransitionMatrix:
 
 
 def read_support_csv(path) -> np.ndarray:
+    """The file's 0/1 mask as a read-only bool array; its shape and rows
+    are checked against k where the mask is used (``support_mask``)."""
     values = read_matrix_csv(path)
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise FileFormatError(path, "support entries must be 0 or 1")
-    return values.astype(bool)
+    try:
+        return _zero_one(values, "support")
+    except ValueError as err:
+        raise FileFormatError(path, str(err))
 
 
 def format_kv_report(entries: dict) -> list:

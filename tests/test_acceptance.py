@@ -59,7 +59,7 @@ def bench_model():
 def test_criterion_1_worked_example_golden():
     chain = CompleteChain(tuple(int(c) for c in WORKED_CHAIN_DIGITS), StateSpace(3))
     y = apply_filter(chain, FilterMatrix(WORKED_FILTER))
-    got = y.to_text(blank_token="_", sep="")
+    got = "".join("_" if s is None else str(s) for s in y.symbols)
     report(1, got == WORKED_FILTERED, f"filtered chain {got!r}")
 
 

@@ -19,7 +19,6 @@ from markovfilter import (
     complete_mle,
     e_step,
     em_jacobian,
-    gap_expected_counts,
     m_step,
     observed_loglik,
     oracle_expected_counts,
@@ -31,6 +30,7 @@ from markovfilter import (
     transition_counts,
     unobserved_step_probs,
 )
+from markovfilter.filtering import ChainSegments
 from conftest import random_interior_probs, random_theta
 
 #: A one-zero-row witness filter on five states (every exit of state 1 is
@@ -148,17 +148,24 @@ class TestSegment:
         assert seg.nu_max == max(g.length for g in gaps)
 
 
+def gap_counts(gap: GapSegment, S) -> np.ndarray:
+    """Expected counts inside the one gap ``gap``, from the E-step kernel."""
+    b = S.k if gap.next_state is None else gap.next_state - 1
+    seg = ChainSegments(S.k, np.zeros((S.k, S.k)), [gap.prev_state - 1], [gap.length], [b], [1.0], [0])
+    return seg.gap_counts(S.p0)[0]
+
+
 class TestGapCounts:
     def test_forced_two_step_gap(self):
         S = split_p(two_state(0.3, 0.4), F_DIAG)
-        inc = gap_expected_counts(GapSegment(1, 2, 1), S).counts
+        inc = gap_counts(GapSegment(1, 2, 1), S)
         np.testing.assert_allclose(inc, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     @pytest.mark.parametrize("target", [2, 3])
     def test_bench_gaps_match_enumeration(self, target, bench_matrix, bench_filter):
         # the recorded step target -> 1 reveals the gap's end
         S = split_p(bench_matrix, bench_filter)
-        inc = gap_expected_counts(GapSegment(3, 2, target), S).counts.copy()
+        inc = gap_counts(GapSegment(3, 2, target), S)
         inc[target - 1, 0] += 1
         y = FilteredChain((3, None, target, 1), StateSpace(3))
         oracle = oracle_expected_counts(y, bench_filter, bench_matrix).counts
@@ -168,13 +175,13 @@ class TestGapCounts:
         # state 1 is only entered by recorded transitions under this filter
         S = split_p(bench_matrix, bench_filter)
         with pytest.raises(ZeroDenominatorError):
-            gap_expected_counts(GapSegment(3, 2, 1), S)
+            gap_counts(GapSegment(3, 2, 1), S)
 
     def test_gap_mass_equals_length(self):
         rng = np.random.default_rng(12)
         S = split_p(TransitionMatrix.from_probs(random_interior_probs(rng, 3)), FilterMatrix(rng.random((3, 3)) < 0.5))
         for nu in (1, 2, 3, 4):
-            inc = gap_expected_counts(GapSegment(3, nu, None), S).counts
+            inc = gap_counts(GapSegment(3, nu, None), S)
             assert inc.sum() == pytest.approx(nu, abs=1e-9)
 
 
@@ -239,7 +246,8 @@ class TestEStep:
 
     def test_long_gaps_match_per_gap_closed_form(self):
         # beyond the oracles' reach: k = 5 and gaps of 30+ transitions, each
-        # gap summed on its own from the formula of gap_expected_counts
+        # gap summed on its own from the closed form of its expected counts,
+        # sum over m < nu of P0^m[a, :]^T P0^(nu-1-m)[:, b] o P0 / P0^nu[a, b]
         rng = np.random.default_rng(5)
         probs = random_interior_probs(rng, 5)
         probs[0] = [0.93, 0.02, 0.02, 0.015, 0.015]  # long unrecorded stays in 1

@@ -28,9 +28,11 @@ from markovfilter import (
     in_class_c2,
     in_class_c3,
     reduction_fraction,
+    run_em,
     satisfies_r,
     validate_consistency,
 )
+from markovfilter.core import support_mask
 from conftest import WORKED_FILTERED, random_interior_probs
 
 
@@ -52,7 +54,7 @@ def filtered_images(F, support, n):
 class TestApplyFilter:
     def test_worked_example_golden(self, worked_chain, worked_filter):
         y = apply_filter(worked_chain, worked_filter)
-        assert y.to_text(blank_token="_", sep="") == WORKED_FILTERED
+        assert "".join("_" if s is None else str(s) for s in y.symbols) == WORKED_FILTERED
 
     def test_all_ones_keeps_everything(self, worked_chain):
         y = apply_filter(worked_chain, FilterMatrix.all_ones(3))
@@ -77,7 +79,7 @@ class TestFilteredChainStorage:
             y.codes[1] = 1
         assert y.symbols == (2, None, 3, None)
         assert (len(y), y.n_transitions, y.blank_count) == (4, 3, 2)
-        assert y.to_text() == "2 - 3 -"
+        assert " ".join("-" if s is None else str(s) for s in y.symbols) == "2 - 3 -"
 
     def test_from_codes_equals_the_tuple_form(self):
         y = FilteredChain.from_codes(np.array([2, 0, 3, 0]), StateSpace(3))
@@ -338,6 +340,40 @@ class TestRestrictionR:
         support = np.zeros((2, 2), dtype=bool)
         with pytest.raises(ValueError):
             satisfies_r(FilterMatrix.all_ones(2), support)
+
+    def test_no_support_is_the_all_ones_mask(self):
+        ones = np.ones((3, 3))
+        for combo in itertools.product((0, 1), repeat=9):
+            F = FilterMatrix(np.reshape(combo, (3, 3)))
+            assert satisfies_r(F, None) == satisfies_r(F, ones)
+
+
+class TestSupportEntries:
+    """A support, like a filter, has entries 0 or 1 (or bool); any other
+    value is refused wherever a support is read, not taken as allowed."""
+
+    @pytest.fixture(params=[2, 0.5])
+    def support(self, request):
+        support = np.ones((3, 3))
+        support[0, 0] = request.param
+        return support
+
+    def test_support_mask(self, support):
+        with pytest.raises(ValueError, match="^support entries must be 0 or 1$"):
+            support_mask(support, 3)
+
+    def test_transition_matrix(self, support, bench_matrix):
+        with pytest.raises(ValueError, match="^support entries must be 0 or 1$"):
+            TransitionMatrix.from_probs(bench_matrix.probs, support=support)
+
+    def test_run_em(self, support, bench_matrix, bench_filter):
+        y = apply_filter(CompleteChain((1, 2, 3, 1, 2), StateSpace(3)), bench_filter)
+        with pytest.raises(ValueError, match="^support entries must be 0 or 1$"):
+            run_em(y, bench_filter, support=support)
+
+    def test_identifiability_verdict(self, support, bench_filter):
+        with pytest.raises(ValueError, match="^support entries must be 0 or 1$"):
+            identifiability_verdict(bench_filter, support)
 
 
 class TestVerdict:

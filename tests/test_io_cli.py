@@ -101,6 +101,14 @@ class TestIoRoundTrips:
         with pytest.raises(FileFormatError):
             io.read_filter_csv(path)
 
+    @pytest.mark.parametrize("reader, what", [(io.read_filter_csv, "filter"), (io.read_support_csv, "support")])
+    def test_non_binary_entries_name_the_file(self, tmp_path, reader, what):
+        path = tmp_path / "m.csv"
+        write(path, "1,2\n0,1\n")
+        with pytest.raises(FileFormatError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: {what} entries must be 0 or 1"
+
     def test_filtered_chain_must_start_observed(self, tmp_path):
         path = tmp_path / "y.txt"
         write(path, "- 1 2\n")
@@ -324,6 +332,12 @@ class TestCheckFilterCommand:
         f_file = tmp_path / "f.csv"
         io.write_matrix_csv(f_file, bits)
         assert main(["check-filter", str(f_file)]) == EXIT_UNIDENTIFIABLE
+
+    def test_non_square_filter_names_the_file(self, tmp_path, capsys):
+        f_file = write(tmp_path / "f.csv", "0,1,1\n1,0,1\n")
+        assert main(["check-filter", f_file]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == f"error: {f_file}: filter must be square of size >= 2, got (2, 3)\n"
 
     def test_support_changes_the_verdict(self, tmp_path, bench_files):
         _, f_file = bench_files

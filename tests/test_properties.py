@@ -1,8 +1,9 @@
 """Property-based checks of the E-step, the observed log-likelihood and the
 consistency check against the enumeration oracles, of the gap kernel
 against the backward recursion over gap lengths, of the EM fit and its
-Jacobian, on random parameters, filters, supports and chains, and of the
-chain reader and the segmentation against per-token and per-position loops."""
+Jacobian, on random parameters, filters, supports and chains, of a missing
+support against the all-ones mask, and of the chain reader and the
+segmentation against per-token and per-position loops."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from markovfilter import (
     FileFormatError,
     FilteredChain,
     FilterMatrix,
+    MarkovFilterError,
     StateSpace,
     TransitionMatrix,
     Verdict,
@@ -32,6 +34,7 @@ from markovfilter import (
     oracle_observed_likelihood,
     run_em,
     run_sem,
+    satisfies_r,
     sem_m1,
     simulate_chain,
     transition_counts,
@@ -193,6 +196,54 @@ def test_validation_accepts_exactly_the_completable_patterns(case):
     else:
         assert expected is None
         assert len(enumerate_completions(y, F, P)) > 0
+
+
+@st.composite
+def unsupported_cases(draw):
+    """(F, y): k in 2..4, any filter, and either the filtered image of a
+    chain of 1 to 30 transitions or an arbitrary pattern of that length
+    that starts observed."""
+    k = draw(st.integers(2, 4))
+    F = FilterMatrix(np.reshape(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)), (k, k)))
+    label = st.integers(1, k)
+    if draw(st.booleans()):
+        return F, apply_filter(CompleteChain(tuple(draw(st.lists(label, min_size=2, max_size=31))), StateSpace(k)), F)
+    symbols = [draw(label)] + draw(st.lists(st.none() | label, min_size=1, max_size=30))
+    return F, FilteredChain(tuple(symbols), StateSpace(k))
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (MarkovFilterError, ValueError) as err:
+        return type(err), str(err)
+
+
+def verdict_fields(v) -> tuple:
+    """The verdict's fields but ``satisfies_r``, the witness as bytes."""
+    witness = None if v.closure_witness is None else v.closure_witness.bits.tobytes()
+    return v.in_c1, v.in_c2, v.in_c3, witness, v.verdict
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(unsupported_cases())
+def test_no_support_is_the_all_ones_mask(case):
+    F, y = case
+    ones = np.ones((F.k, F.k))
+    assert outcome(validate_consistency, y, F) == outcome(validate_consistency, y, F, ones)
+    fits = [outcome(run_em, y, F, max_iter=200, support=s) for s in (None, ones)]
+    if isinstance(fits[0], tuple):
+        assert fits[0] == fits[1]
+    else:
+        got, ref = fits
+        assert got.probs.tobytes() == ref.probs.tobytes()
+        assert got.expected_counts.counts.tobytes() == ref.expected_counts.counts.tobytes()
+        assert (got.loglik_trace, got.iterations, got.converged) == (ref.loglik_trace, ref.iterations, ref.converged)
+    plain, masked = (identifiability_verdict(F, s) for s in (None, ones))
+    assert verdict_fields(plain) == verdict_fields(masked)
+    # documented: True without a support, the row check with one
+    assert plain.satisfies_r is True and masked.satisfies_r == satisfies_r(F, None)
 
 
 #: Two-state filters that record one self-loop and hide the other three
