@@ -92,7 +92,7 @@ def cmd_filter(args) -> int:
 
 def cmd_check_filter(args) -> int:
     F = io.read_filter_csv(args.filter)
-    support = io.read_support_csv(args.support) if args.support else None
+    support = io.read_support_csv(args.support, F.k) if args.support else None
     verdict = identifiability_verdict(F, support)
     print(f"member of one-zero-row/column family: {verdict.in_c1}")
     print(f"member of two-zero-column family:     {verdict.in_c2}")
@@ -175,7 +175,7 @@ def cmd_estimate(args) -> int:
         raise ValueError("--max-iter must be at least 1")
     _check_alpha(args.alpha)
     y = io.read_filtered_chain(args.filtered, F.k, args.blank_token)
-    support = io.read_support_csv(args.support) if args.support else None
+    support = io.read_support_csv(args.support, F.k) if args.support else None
     # a hint rides on its error in __notes__ (add_note needs Python 3.11); main prints it
     try:  # run_em validates the pattern before it iterates
         em_result = run_em(y, F, tol=args.tol, max_iter=args.max_iter, support=support)

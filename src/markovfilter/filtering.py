@@ -15,9 +15,11 @@ smallest unsigned dtype that holds k, as a complete chain's states are.
 What a filter reveals is one flat lookup of each transition's cell, formed
 by ``core._cells`` in a dtype just wide enough for the k**2 cells; the pair
 tallies of ``transition_counts``, ``classify_transitions`` and the
-segmentation are one helper, ``core._pair_counts``. No step of the
-long-chain path makes an 8-byte copy of the chain; only the per-gap
-arrays are ``intp``.
+segmentation are one helper, ``core._pair_counts``. ``apply_filter`` fills
+its codes one block of ``core._BLOCK`` positions at a time, as the pair
+tally and the simulator work, so its only chain-length array is its
+output. No step of the long-chain path makes an 8-byte copy of the chain;
+only the per-gap arrays are ``intp``.
 
 ``ChainSegments`` cuts a filtered chain into observed pairs and gap types
 once, and owns the gap kernel that reads them: the power table of a step
@@ -37,6 +39,7 @@ from .core import (
     CompleteChain,
     StateSpace,
     _ArrayChain,
+    _BLOCK,
     _cells,
     _check_range,
     _labels,
@@ -322,13 +325,19 @@ def apply_filter(x: CompleteChain, F: FilterMatrix) -> FilteredChain:
     """Blank every state of x not adjacent to a recorded transition.
 
     Position p stays observed iff p = 0, or the transition into p is
-    recorded, or the transition out of p is recorded.
+    recorded, or the transition out of p is recorded. The codes are filled
+    one ``_BLOCK`` of positions at a time, each block read with one state
+    past either edge, so only the output is as long as the chain.
     """
     if F.k != x.space.k:
         raise ValueError(f"filter is {F.k}x{F.k} but the chain has k={x.space.k}")
     idx = x.as_indices()
-    codes = idx + idx.dtype.type(1)  # indices stop at k - 1, so codes fit the dtype
-    codes *= _revealed(idx, F.bits)
+    codes = np.empty_like(idx)
+    for lo in range(0, len(idx), _BLOCK):
+        hi = min(lo + _BLOCK, len(idx))
+        edge = min(lo, 1)  # the state before the block, for the transition into lo
+        np.add(idx[lo:hi], idx.dtype.type(1), out=codes[lo:hi])  # indices stop at k - 1
+        codes[lo:hi] *= _revealed(idx[lo - edge : hi + 1], F.bits)[edge : edge + hi - lo]
     return FilteredChain._of(codes, x.space)
 
 

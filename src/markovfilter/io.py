@@ -12,9 +12,13 @@ drops the whitespace. Any other byte, such as a label of 10 or more,
 ``str.split``), sends the file through one loop over its tokens that
 parses each distinct spelling once. Both give the same codes, in the
 chain's storage dtype, and the same error messages. The writers are the
-inverse: a table from code to token, through which a chain is written in
-one numpy gather. Text is encoded as ``Path.read_text``/``write_text``
-would, in the locale's preferred encoding."""
+inverse: a table from code to token, through which a chain is written one
+block of ``core._BLOCK`` symbols at a time, each block one numpy gather,
+so a writer holds nothing as long as the chain. Text is encoded as
+``Path.read_text``/``write_text`` would, in the locale's preferred
+encoding. The filter, probability and support readers build their value
+from ``read_matrix_csv`` through one helper, which names the file in any
+error the value's checks raise."""
 
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CompleteChain, StateSpace, TransitionMatrix, _code_dtype, _zero_one
+from .core import CompleteChain, StateSpace, TransitionMatrix, _BLOCK, _code_dtype, support_mask
 from .errors import FileFormatError
 from .filtering import FilteredChain, FilterMatrix
 
@@ -114,18 +118,25 @@ def read_chain(path, k: int) -> CompleteChain:
 def _write_tokens(path, codes: np.ndarray, names: list) -> None:
     """Write token ``names[c]`` for each code c, a space after each but the
     last, which gets a newline: the inverse of the reader's byte table. Each
-    token with its space is one row of a table padded to the longest, so
-    the output is one gather of rows; a second step drops the padding when
-    the names differ in length."""
+    token with its space is one row of a table padded to the longest, so a
+    block of output is one gather of rows; a second step drops the padding
+    when the names differ in length. The file is written one ``_BLOCK`` of
+    symbols at a time."""
     names = [name.encode(_encoding()) + b" " for name in names]
     width = max(len(name) for name in names)
     table = np.frombuffer(b"".join(name.ljust(width) for name in names), dtype=f"V{width}")
-    out = table[codes].view(np.uint8)
-    lengths = np.array([len(name) for name in names], dtype=np.min_scalar_type(width))
-    if (lengths < width).any():
-        out = out.reshape(-1, width)[np.arange(width, dtype=lengths.dtype) < lengths[codes][:, None]]
-    out[-1] = ord("\n")
-    Path(path).write_bytes(out)
+    # keep[c]: the bytes of the table's row c that names[c] fills
+    keep = np.arange(width) < np.array([len(name) for name in names])[:, None]
+    padded = not keep.all()
+    with open(path, "wb") as f:
+        for lo in range(0, len(codes), _BLOCK):
+            block = codes[lo : lo + _BLOCK]
+            out = table[block].view(np.uint8)
+            if padded:
+                out = out.reshape(-1, width)[keep[block]]
+            if lo + _BLOCK >= len(codes):
+                out[-1] = ord("\n")
+            f.write(out)
 
 
 def write_chain(path, chain: CompleteChain) -> None:
@@ -193,30 +204,29 @@ def write_matrix_csv(path, matrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_filter_csv(path) -> FilterMatrix:
+def _read_matrix_as(path, build):
+    """``build`` of the file's matrix; a ValueError it raises becomes a
+    FileFormatError naming the file, with the same message."""
     values = read_matrix_csv(path)
     try:
-        return FilterMatrix(values)
+        return build(values)
     except ValueError as err:
         raise FileFormatError(path, str(err))
+
+
+def read_filter_csv(path) -> FilterMatrix:
+    return _read_matrix_as(path, FilterMatrix)
 
 
 def read_probability_csv(path, support=None) -> TransitionMatrix:
-    values = read_matrix_csv(path)
-    try:
-        return TransitionMatrix.from_probs(values, support)
-    except ValueError as err:
-        raise FileFormatError(path, str(err))
+    return _read_matrix_as(path, lambda values: TransitionMatrix.from_probs(values, support))
 
 
-def read_support_csv(path) -> np.ndarray:
-    """The file's 0/1 mask as a read-only bool array; its shape and rows
-    are checked against k where the mask is used (``support_mask``)."""
-    values = read_matrix_csv(path)
-    try:
-        return _zero_one(values, "support")
-    except ValueError as err:
-        raise FileFormatError(path, str(err))
+def read_support_csv(path, k: int) -> np.ndarray:
+    """The file's k x k 0/1 mask as a read-only bool array, checked by
+    ``support_mask``: its entries, its shape, and a transition allowed in
+    every row and column."""
+    return _read_matrix_as(path, lambda values: support_mask(values, k))
 
 
 def format_kv_report(entries: dict) -> list:

@@ -105,8 +105,9 @@ class TestIoRoundTrips:
     def test_non_binary_entries_name_the_file(self, tmp_path, reader, what):
         path = tmp_path / "m.csv"
         write(path, "1,2\n0,1\n")
+        args = (path, 2) if what == "support" else (path,)  # the support reader also takes k
         with pytest.raises(FileFormatError) as err:
-            reader(path)
+            reader(*args)
         assert str(err.value) == f"{path}: {what} entries must be 0 or 1"
 
     def test_filtered_chain_must_start_observed(self, tmp_path):
@@ -213,6 +214,22 @@ class TestFileErrors:
         assert main(["estimate", str(y_file), f_file, "--skip-sem", "--out", out]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and out in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,1,1\n1,1,1\n", "support mask must be 3 x 3, got shape (2, 3)"),
+            ("1,1,0\n1,1,0\n1,1,0\n", "support must allow a transition in every row and column"),
+        ],
+        ids=["shape", "empty-column"],
+    )
+    @pytest.mark.parametrize("command", ["check-filter", "estimate"])
+    def test_bad_support_names_the_file(self, tmp_path, bench_files, capsys, command, text, message):
+        _, f_file = bench_files
+        s_file = write(tmp_path / "s.csv", text)
+        inputs = [write(tmp_path / "y.txt", "1 2 1 1 2 1\n")] if command == "estimate" else []
+        assert main([command, *inputs, f_file, "--support", s_file]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {s_file}: {message}\n"
 
 
 class TestSimulateCommand:
@@ -682,7 +699,7 @@ class TestEmbedCommand:
         )
         assert code == EXIT_OK
         assert len(out.read_text().split()) == 3
-        mask = io.read_support_csv(support)
+        mask = io.read_support_csv(support, 4)
         assert mask.sum() == 2**3
 
     def test_chain_too_short(self, tmp_path):

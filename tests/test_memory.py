@@ -53,16 +53,16 @@ def traced_peak(fn, *args) -> int:
 #: from (x, y, file of y, scratch directory), made before tracing starts)
 LAYERS = {
     "simulate_chain": (6, lambda x, y, f, d: (simulate_chain, P, 1, len(x) - 1, 0)),
-    "apply_filter": (6, lambda x, y, f, d: (apply_filter, x, F)),
-    "write_chain": (6, lambda x, y, f, d: (io.write_chain, d / "x.txt", x)),
-    "write_filtered_chain": (6, lambda x, y, f, d: (io.write_filtered_chain, d / "y.txt", y)),
+    "apply_filter": (2, lambda x, y, f, d: (apply_filter, x, F)),
+    "write_chain": (1, lambda x, y, f, d: (io.write_chain, d / "x.txt", x)),
+    "write_filtered_chain": (1, lambda x, y, f, d: (io.write_filtered_chain, d / "y.txt", y)),
     "transition_counts": (6, lambda x, y, f, d: (transition_counts, x)),
     "read_filtered_chain": (8, lambda x, y, f, d: (io.read_filtered_chain, f, 3)),
     "validate_consistency": (
         8,  # a new chain, so the first segmentation is part of the call
         lambda x, y, f, d: (validate_consistency, FilteredChain.from_codes(y.codes, y.space), F),
     ),
-    "classify_transitions": (8, lambda x, y, f, d: (classify_transitions, x, F)),
+    "classify_transitions": (2, lambda x, y, f, d: (classify_transitions, x, F)),
 }
 
 
