@@ -136,11 +136,23 @@ def _report_cells(name: str, matrix) -> dict:
     }
 
 
-def _report_matrix(report: dict, name: str, size: int) -> np.ndarray:
-    """The ``size`` x ``size`` matrix stored by ``_report_cells``; raises
-    KeyError for a missing cell."""
+def _report_value(path, report: dict, key: str, read=float, expected="a number"):
+    """``read`` of the report's value at ``key``; FileFormatError names the
+    report ``path``, the key and, when ``read`` refuses it, the value."""
+    if key not in report:
+        raise FileFormatError(path, f"missing report key {key!r}")
+    try:
+        return read(report[key])
+    except ValueError:
+        raise FileFormatError(path, f"{key} = {report[key]} is not {expected}") from None
+
+
+def _report_matrix(path, report: dict, name: str, size: int) -> np.ndarray:
+    """The ``size`` x ``size`` matrix stored by ``_report_cells``."""
     cells = range(1, size + 1)
-    return np.array([[float(report[f"estimate.{name}.{i}.{j}"]) for j in cells] for i in cells])
+    return np.array(
+        [[_report_value(path, report, f"estimate.{name}.{i}.{j}") for j in cells] for i in cells]
+    )
 
 
 def _estimate_report(alpha: float, y, reduction, em_result, sem_result, intervals) -> dict:
@@ -248,12 +260,11 @@ def cmd_estimate(args) -> int:
 def cmd_test(args) -> int:
     _check_alpha(args.alpha)
     report = io.read_kv_report(args.report)
-    try:
-        k = int(report["estimate.k"])
-        probs_hat = _report_matrix(report, "theta", k)
-        v = _report_matrix(report, "v_obs", k * (k - 1))
-    except KeyError as err:
-        raise FileFormatError(args.report, f"missing report key {err}")
+    k = _report_value(args.report, report, "estimate.k", int, "an integer")
+    if k < 2:
+        raise FileFormatError(args.report, f"estimate.k = {k} is not a state count (at least 2)")
+    probs_hat = _report_matrix(args.report, report, "theta", k)
+    v = _report_matrix(args.report, report, "v_obs", k * (k - 1))
     P0 = io.read_probability_csv(args.null)
     if P0.k != k:
         raise FileFormatError(args.null, f"expected a {k}x{k} matrix")

@@ -234,7 +234,7 @@ class TransitionMatrix:
         rowsums = probs.sum(axis=1)
         if np.any(np.abs(rowsums - 1.0) > ROW_SUM_TOL):
             bad = int(np.argmax(np.abs(rowsums - 1.0)))
-            raise ValueError(f"row {bad + 1} sums to {rowsums[bad]!r}, not 1")
+            raise ValueError(f"row {bad + 1} sums to {float(rowsums[bad])!r}, not 1")
         if np.any(probs[~support] != 0.0):
             raise ValueError("positive probability on a structural zero")
 
@@ -328,9 +328,9 @@ class ParamVector:
         if np.any(theta < -ROW_SUM_TOL) or np.any(theta > 1.0 + ROW_SUM_TOL):
             raise ValueError("parameter outside [0, 1]")
         partial = theta.reshape(k, k - 1).sum(axis=1)
-        if np.any(partial > 1.0 + 1e-9):
+        if np.any(1.0 - partial < -ROW_SUM_TOL):  # the last entry theta_to_probs rebuilds
             bad = int(np.argmax(partial))
-            raise ValueError(f"row {bad + 1} stored entries sum to {partial[bad]!r} > 1")
+            raise ValueError(f"row {bad + 1} stored entries sum to {float(partial[bad])!r} > 1")
 
     @property
     def k(self) -> int:

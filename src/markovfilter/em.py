@@ -17,9 +17,9 @@ P0^(nu-1-m) 1 in place of column b. The kernel lives in
 matmuls) and reads every mass in one gather, and its ``gap_counts`` sums
 all gaps in one weighted (k x S) @ (S x k) matmul, where S, the sum of the
 types' lengths, counts the edges. An E-step makes O(log nu_max) numpy
-calls and O(S k^2) work. Here one E-step pass adds the observed pairs and
-the log-likelihood for EM, ``e_step`` and ``observed_loglik``, and the EM
-map, which ``sem`` steps through, row-normalizes the expected counts.
+calls and O(S k^2) work. ``_e_pass``, the kernel's one caller, adds the
+observed pairs and the log-likelihood; EM, ``e_step``, ``observed_loglik``
+and M1 in ``sem`` all step through that pass, with no second EM map.
 """
 
 from __future__ import annotations
@@ -116,21 +116,14 @@ def segment_chain(y: FilteredChain):
 
 def _e_pass(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> tuple:
     """The E-step pass: (expected counts, observed log-likelihood) at
-    ``probs`` under the filter ``bits``. Raises ZeroDenominatorError when a
-    gap has no unrecorded path; the log-likelihood is -inf when an observed
-    pair has probability zero."""
-    counts, masses = seg.gap_counts(np.where(bits, 0.0, probs))
-    pair_probs = probs.take(seg.pair_cells)
-    if np.any(pair_probs <= 0.0):
-        return seg.pair_counts + counts, -np.inf
-    pairs = (seg.pair_n * np.log(pair_probs)).sum()
-    return seg.pair_counts + counts, float(pairs) + float(seg.mult @ np.log(masses))
-
-
-def _em_update(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The EM map alone, without the log-likelihood; complex ``probs``
-    give complex next probabilities."""
-    return _normalize_rows(seg.pair_counts + seg.gap_counts(np.where(bits, 0.0, probs))[0])
+    ``probs`` under the filter ``bits``, in the dtype of ``probs``. Raises
+    ZeroDenominatorError when a gap has no unrecorded path; the
+    log-likelihood is -inf when an observed pair has probability zero."""
+    gaps, masses = seg.gap_counts(np.where(bits, 0.0, probs))
+    counts, pair_probs = seg.pair_counts + gaps, probs.take(seg.pair_cells)
+    if np.any(pair_probs.real <= 0.0):
+        return counts, -np.inf
+    return counts, (seg.pair_n * np.log(pair_probs)).sum() + seg.mult @ np.log(masses)
 
 
 def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
@@ -156,7 +149,7 @@ def observed_loglik(y: FilteredChain, theta, F: FilterMatrix) -> float:
     vanishes or no complete chain produces the pattern under ``F``."""
     try:
         validate_consistency(y, F)
-        return _e_pass(y.segments, _as_probs(theta, y.space.k), F.bits)[1]
+        return float(_e_pass(y.segments, _as_probs(theta, y.space.k), F.bits)[1])
     except (ConsistencyError, ZeroDenominatorError):
         return -np.inf
 
@@ -170,14 +163,13 @@ def run_em(
     support=None,
 ) -> EMResult:
     """Iterate E and M steps until the parameter max-change drops below
-    ``tol``. The default start is uniform over each row's support. The
-    returned expected counts and log-likelihood are evaluated at the
-    estimate itself, and ``loglik_trace`` holds the log-likelihood of every
-    iterate (non-decreasing, up to roundoff)."""
+    ``tol``, or for ``max_iter`` M-steps. The default start is uniform over
+    each row's support. The loop ends on the estimate's own E-step, which
+    gives its expected counts and log-likelihood; ``loglik_trace`` holds the
+    log-likelihood of every iterate (non-decreasing, up to roundoff)."""
     k = y.space.k
     mask = support_mask(support, k)
     validate_consistency(y, F, mask)
-    seg = y.segments
     if theta0 is None:
         probs = mask / mask.sum(axis=1, keepdims=True)
     else:
@@ -188,28 +180,22 @@ def run_em(
     trace = []
     converged = False
     iterations = 0
-    for _ in range(max_iter):
-        counts, loglik = _e_pass(seg, probs, F.bits)
-        new_probs = _normalize_rows(counts)
+    while True:
+        counts, loglik = _e_pass(y.segments, probs, F.bits)
         if not np.isfinite(loglik):
             raise NonFiniteError("observed log-likelihood is not finite")
-        trace.append(loglik)
-        iterations += 1
-        delta = float(np.max(np.abs(new_probs[:, :-1] - probs[:, :-1])))
-        probs = new_probs
-        if delta < tol:
-            converged = True
+        trace.append(float(loglik))
+        if converged or iterations >= max_iter:
             break
+        probs, old = _normalize_rows(counts), probs
+        converged = float(np.max(np.abs(probs[:, :-1] - old[:, :-1]))) < tol
+        iterations += 1
 
-    counts_hat, loglik_hat = _e_pass(seg, probs, F.bits)
-    if not np.isfinite(loglik_hat):
-        raise NonFiniteError("observed log-likelihood is not finite")
-    trace.append(loglik_hat)
     return EMResult(
         probs=_readonly(probs, float),
         iterations=iterations,
         converged=converged,
-        final_observed_loglik=loglik_hat,
-        expected_counts=CountMatrix(counts_hat),
+        final_observed_loglik=trace[-1],
+        expected_counts=CountMatrix(counts),
         loglik_trace=tuple(trace),
     )

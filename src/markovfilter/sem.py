@@ -12,16 +12,17 @@ All three are taken on the free coordinates of the estimate
 one, the reference column r_i, which takes up p_ir = 1 - (sum of the
 rest). V_com then has a closed form: block i is (diag(p_i) - p_i p_i^T) /
 N_i over the row's free entries, the inverse information of a multinomial
-with N_i the row total of the expected counts. M is analytic in the
-parameters (matrix powers, ratios and a row normalization), so
-``em_jacobian`` takes M1 by complex step (Squire & Trapp 1998) along
-e_ij - e_ir: exact to machine precision at the cost of one complex E-step
-per free coordinate. The results are reported in the free-parameter layout
-(row-major, last column omitted), where a fixed entry has zero rows and
-columns and a reference entry inside the layout the covariances implied by
-its row. Meng & Rubin's (1991) forced iteration, which perturbs one
-coordinate at a time along the EM sequence and takes the limit of
-difference ratios, stays as ``sem_m1`` for the paper-faithful cross-check.
+with N_i the row total of the expected counts. M row-normalizes the counts
+of EM's own E-step pass, ``em._e_pass``; it is analytic in the parameters
+(matrix powers, ratios and a row normalization), so ``em_jacobian`` takes
+M1 by complex step (Squire & Trapp 1998) along e_ij - e_ir: exact to
+machine precision at the cost of one complex pass per free coordinate. The
+results are reported in the free-parameter layout (row-major, last column
+omitted), where a fixed entry has zero rows and columns and a reference
+entry inside the layout the covariances implied by its row. Meng & Rubin's
+(1991) forced iteration, which perturbs one coordinate at a time along the
+EM sequence and takes the limit of difference ratios, stays as ``sem_m1``
+for the paper-faithful cross-check.
 """
 
 from __future__ import annotations
@@ -30,13 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_probs, _as_theta, free_coordinates, probs_to_theta, theta_to_probs
-from .em import EMResult, _em_update
-from .errors import (
-    RowNotConvergedError,
-    SingularCovarianceError,
-    SingularUpdateError,
-)
+from .core import _as_probs, _as_theta, _normalize_rows, free_coordinates, probs_to_theta, theta_to_probs
+from .em import EMResult, _e_pass
+from .errors import RowNotConvergedError, SingularCovarianceError, SingularUpdateError
 from .filtering import FilteredChain, FilterMatrix
 
 
@@ -86,7 +83,8 @@ def em_jacobian(y: FilteredChain, F: FilterMatrix, theta_hat) -> np.ndarray:
     for t, change in zip(free, lift.T):
         change = change.reshape(k, k - 1)
         step = np.hstack([change, -change.sum(axis=1, keepdims=True)]) * (STEP * 1j)
-        m1[t] = probs_to_theta(_em_update(y.segments, probs + step, F.bits).imag) / STEP
+        counts = _e_pass(y.segments, probs + step, F.bits)[0]
+        m1[t] = probs_to_theta(_normalize_rows(counts).imag) / STEP
     m1[np.abs(m1) < M1_FLOOR] = 0.0
     return m1
 
@@ -112,6 +110,11 @@ def sem_m1(
     Once the EM sequence hits the estimate exactly in a coordinate, that row
     is frozen at its last value.
 
+    A row also stops when two ratios agree while its perturbation has not
+    shrunk (the coordinate's EM error stalls, or settles a rounding distance
+    from the estimate), and can be far off: entries of 4 where M1 is 0 have
+    been seen. So this is a reference only where a test restricts its fits.
+
     Returns (m1, converged_rows); raises when rows are still open after
     ``max_iter`` steps.
     """
@@ -122,10 +125,9 @@ def sem_m1(
     if theta_hat.shape != (d,) or theta_t.shape != (d,):
         raise ValueError(f"expected {d} parameters")
 
-    seg = y.segments
-
     def em_update(theta):
-        return probs_to_theta(_em_update(seg, theta_to_probs(theta, k), F.bits))
+        counts = _e_pass(y.segments, theta_to_probs(theta, k), F.bits)[0]
+        return probs_to_theta(_normalize_rows(counts))
 
     m1 = np.zeros((d, d))
     r_prev = np.zeros((d, d))

@@ -25,6 +25,16 @@ WORKED_FILTERED = "11_312232____311___31"
 BENCH_PROBS = np.array([[0.2, 0.3, 0.5], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
 BENCH_FILTER = np.array([[0, 1, 0], [1, 1, 0], [1, 0, 0]], dtype=bool)
 
+#: The 5-state matrix of the benchmark's sparse case (``perfbench/run.py``),
+#: each row's last entry written as 1 minus the others.
+SPARSE5_PROBS = np.array([r + [1.0 - sum(r)] for r in [
+    [0.15, 0.048, 0.724, 0.056],
+    [0.475, 0.141, 0.154, 0.02],
+    [0.26, 0.067, 0.412, 0.062],
+    [0.035, 0.191, 0.1, 0.145],
+    [0.14, 0.114, 0.348, 0.251],
+]])
+
 
 @pytest.fixture
 def worked_chain() -> CompleteChain:

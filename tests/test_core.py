@@ -21,7 +21,7 @@ from markovfilter import (
     simulate_chain,
     transition_counts,
 )
-from conftest import BENCH_PROBS, random_interior_probs
+from conftest import BENCH_PROBS, SPARSE5_PROBS, random_interior_probs
 
 
 class TestTypes:
@@ -38,7 +38,8 @@ class TestTypes:
             CompleteChain((2,), StateSpace(3))
 
     def test_transition_matrix_rejects_bad_row_sum(self):
-        with pytest.raises(ValueError):
+        # a plain float: numpy 2's repr of a numpy float reads "np.float64(0.9)"
+        with pytest.raises(ValueError, match=r"^row 1 sums to 0\.9, not 1$"):
             TransitionMatrix.from_probs([[0.5, 0.4], [0.5, 0.5]])
 
     def test_transition_matrix_rejects_mass_off_support(self):
@@ -63,6 +64,22 @@ class TestTypes:
     def test_param_vector_rejects_row_overflow(self):
         with pytest.raises(ValueError):
             ParamVector(np.array([0.7, 0.7, 0.1, 0.1, 0.1, 0.1]), StateSpace(3))
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_param_vector_refuses_what_its_matrix_would_refuse(self, row):
+        # stored entries past 1 by more than ROW_SUM_TOL would rebuild a
+        # negative last entry, so the vector is refused naming the row
+        theta = np.full(6, 0.25)
+        theta[2 * row - 2 : 2 * row] = 0.5, 0.5 + 5e-10
+        with pytest.raises(ValueError, match=rf"^row {row} stored entries sum to 1\.0000000005 > 1$"):
+            ParamVector(theta, StateSpace(3))
+        theta[2 * row - 1] = 0.5 + 5e-13  # within ROW_SUM_TOL: the last entry snaps to 0
+        assert ParamVector(theta, StateSpace(3)).to_matrix().probs[row - 1, 2] == 0.0
+
+    @pytest.mark.parametrize("probs", [BENCH_PROBS, SPARSE5_PROBS], ids=["bench", "sparse"])
+    def test_param_vector_of_a_matrix_rebuilds_it(self, probs):
+        P = TransitionMatrix.from_probs(probs)
+        np.testing.assert_allclose(P.theta().to_matrix().probs, P.probs, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_are_rejected(self, bad):

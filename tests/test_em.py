@@ -423,6 +423,28 @@ class TestRunEm:
         assert np.max(np.abs(result.theta_hat.theta - grid_theta)) < 2e-3
         assert result.final_observed_loglik >= grid_ll - 1e-9
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, None])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_exit_describes_the_returned_estimate(self, seed, max_iter):
+        # whether EM converges or runs out of iterations, the trace ends on
+        # the estimate and the counts are the estimate's own E-step
+        rng = np.random.default_rng(seed)
+        k = 2 + seed % 3
+        P = TransitionMatrix.from_probs(random_interior_probs(rng, k, floor=0.1))
+        F = FilterMatrix.all_ones(k) if seed == 0 else FilterMatrix(rng.random((k, k)) < 0.5)
+        y = apply_filter(simulate_chain(P, 1, 40 + 10 * seed, seed=seed), F)
+        limit = {} if max_iter is None else {"max_iter": max_iter}
+        result = run_em(y, F, **limit)
+        assert len(result.loglik_trace) == result.iterations + 1
+        assert result.loglik_trace[-1] == result.final_observed_loglik
+        assert result.final_observed_loglik == observed_loglik(y, result.probs, F)
+        np.testing.assert_array_equal(result.expected_counts.counts, e_step(y, result.probs, F).counts)
+        if max_iter is not None:
+            assert result.iterations <= max_iter
+            assert result.converged or result.iterations == max_iter
+        else:
+            assert result.converged
+
     def test_theta_hat_keeps_an_exact_zero_in_the_last_column(self):
         # 1 -> 4 never occurs; theta_hat's rebuilt last column must not leave
         # 1 minus the row's other entries (1.1e-16) on that structural zero

@@ -654,6 +654,28 @@ class TestTestCommand:
         broken = write(tmp_path / "broken.kv", "estimate.k = 3\n")
         assert main(["test", broken, p_file]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("estimate.theta.1.1", "abc", "estimate.theta.1.1 = abc is not a number"),
+            ("estimate.v_obs.2.3", "1.0.0", "estimate.v_obs.2.3 = 1.0.0 is not a number"),
+            ("estimate.k", "three", "estimate.k = three is not an integer"),
+            ("estimate.k", "1", "estimate.k = 1 is not a state count (at least 2)"),
+        ],
+        ids=["theta-cell", "v_obs-cell", "k-word", "k-one"],
+    )
+    def test_bad_report_value_names_the_report(self, fitted_report, bench_files, capsys, key, value, message):
+        p_file, _ = bench_files
+        entries = io.read_kv_report(fitted_report)
+        assert key in entries
+        entries[key] = value
+        io.write_kv_report(fitted_report, entries)
+        capsys.readouterr()
+        assert main(["test", str(fitted_report), p_file]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {fitted_report}: {message}\n"
+        assert captured.out == ""
+
     def test_rank_deficient_covariance_exits_numerical(self, tmp_path, capsys):
         from markovfilter.cli import EXIT_NUMERICAL
 
