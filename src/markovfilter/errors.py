@@ -7,8 +7,9 @@ class MarkovFilterError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ChainTooShortError(MarkovFilterError):
-    """A chain is shorter than the operation requires."""
+class ChainTooShortError(MarkovFilterError, ValueError):
+    """A chain is shorter than the operation requires: a bad input, so the
+    CLI exits with the parse code."""
 
 
 class ZeroRowTotalError(MarkovFilterError):

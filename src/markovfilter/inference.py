@@ -12,21 +12,15 @@ import numpy as np
 from .core import _as_theta
 from .errors import NonPositiveVarianceError, SingularCovarianceError
 
-DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
-
-
 @dataclass(frozen=True)
 class TestReport:
-    """A test statistic with its reference distribution's verdicts.
-
-    ``df`` is the chi-square degrees of freedom, or None for a z statistic.
-    ``reject_at`` maps each significance level to the rejection decision.
-    """
+    """What a test measures: its ``statistic``, the chi-square degrees of
+    freedom ``df`` (None for a z statistic) and the ``p_value``. A test
+    rejects at level alpha exactly when ``p_value < alpha``."""
 
     statistic: float
     df: int | None
     p_value: float
-    reject_at: dict
 
 
 def chi_square_sf(df: int, x: float) -> float:
@@ -52,11 +46,13 @@ def chi_square_sf(df: int, x: float) -> float:
     return math.exp(top) * math.fsum(math.exp(v - top) for v in logs)
 
 
-def chi_square_test(theta_hat, theta0, v_obs, alphas=DEFAULT_ALPHAS) -> TestReport:
+def chi_square_test(theta_hat, theta0, v_obs) -> TestReport:
     """Quadratic-form test of theta = theta0 with covariance ``v_obs``; the
     statistic (theta_hat - theta0)' v_obs^(-1) (theta_hat - theta0) is
-    referred to chi-square with d = k^2 - k degrees of freedom (the number
-    of free parameters in the quadratic form)."""
+    referred to chi-square with as many degrees of freedom as coordinates
+    are passed. Pass the free coordinates (``core.free_coordinates``) to get
+    the number of free parameters, which is below k^2 - k when P has
+    structural zeros."""
     diff = _as_theta(theta_hat) - _as_theta(theta0)
     v = np.asarray(v_obs, dtype=float)
     if v.shape != (diff.size, diff.size):
@@ -68,29 +64,22 @@ def chi_square_test(theta_hat, theta0, v_obs, alphas=DEFAULT_ALPHAS) -> TestRepo
         raise SingularCovarianceError("covariance is not positive definite") from err
     white = np.linalg.solve(chol, diff)  # L^(-1) diff, so stat = |white|^2
     stat = float(white @ white)
-    df = diff.size
-    p = chi_square_sf(df, stat)
-    return TestReport(
-        statistic=stat,
-        df=df,
-        p_value=p,
-        reject_at={float(a): p < a for a in alphas},
-    )
+    return TestReport(statistic=stat, df=diff.size, p_value=chi_square_sf(diff.size, stat))
 
 
-def z_test(theta_i: float, theta_i0: float, s_ii: float, alphas=DEFAULT_ALPHAS) -> TestReport:
+def _check_variance(s_ii) -> None:
+    """Raise NonPositiveVarianceError unless the variance ``s_ii`` is positive."""
+    if not s_ii > 0:
+        raise NonPositiveVarianceError(f"variance {float(s_ii)!r} must be positive")
+
+
+def z_test(theta_i: float, theta_i0: float, s_ii: float) -> TestReport:
     """Per-parameter test: tau = (theta_hat_i - theta_i0) / sqrt(s_ii) is
     standard normal under the null; two-sided p-value."""
-    if not s_ii > 0:
-        raise NonPositiveVarianceError(f"variance {s_ii!r} must be positive")
+    _check_variance(s_ii)
     tau = (float(theta_i) - float(theta_i0)) / float(np.sqrt(s_ii))
     p = math.erfc(abs(tau) / math.sqrt(2.0))  # two-sided normal tail, accurate far out
-    return TestReport(
-        statistic=tau,
-        df=None,
-        p_value=p,
-        reject_at={float(a): p < a for a in alphas},
-    )
+    return TestReport(statistic=tau, df=None, p_value=p)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -101,8 +90,7 @@ def _check_alpha(alpha: float) -> None:
 
 def confidence_interval(theta_i: float, s_ii: float, alpha: float):
     """Two-sided (1 - alpha) interval theta_hat_i +/- sqrt(s_ii) z_{alpha/2}."""
-    if not s_ii > 0:
-        raise NonPositiveVarianceError(f"variance {s_ii!r} must be positive")
+    _check_variance(s_ii)
     _check_alpha(alpha)
     half = float(np.sqrt(s_ii) * NormalDist().inv_cdf(1.0 - alpha / 2.0))
     return float(theta_i) - half, float(theta_i) + half

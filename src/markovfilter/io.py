@@ -46,15 +46,12 @@ def _encoding() -> str:
     return locale.getpreferredencoding(False)
 
 
-def _byte_codes(data, k: int, blank_token) -> np.ndarray | None:
-    """Codes, as a read-only uint8 array, of a file (bytes, or text to
-    encode) whose tokens are all one byte; None when some byte is not a
-    one-digit label, the blank token or ASCII whitespace, or two tokens
-    touch. One translation of the bytes to their shapes (token ``x``, space
-    or neither) decides; a second maps each token to its code and drops the
-    whitespace."""
-    if isinstance(data, str):
-        data = data.encode(_encoding())
+def _byte_codes(data: bytes, k: int, blank_token) -> np.ndarray | None:
+    """Codes, as a read-only uint8 array, of a file's bytes whose tokens are
+    all one byte; None when some byte is not a one-digit label, the blank
+    token or ASCII whitespace, or two tokens touch. One translation of the
+    bytes to their shapes (token ``x``, space or neither) decides; a second
+    maps each token to its code and drops the whitespace."""
     table = bytearray([_NOT_A_TOKEN]) * 256
     for s in range(1, min(k, 9) + 1):
         table[ord(str(s))] = s

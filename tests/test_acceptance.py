@@ -291,8 +291,8 @@ def test_criterion_8_test_calibration():
         y = apply_filter(chain, F)
         result = run_em(y, F, tol=1e-12)
         sem = run_sem(y, F, result)
-        rep = chi_square_test(result.theta_hat.theta, theta_true, sem.v_obs, alphas=(0.05,))
-        if rep.reject_at[0.05]:
+        rep = chi_square_test(result.theta_hat.theta, theta_true, sem.v_obs)
+        if rep.p_value < 0.05:
             rejections += 1
         diag = np.diag(sem.v_obs)
         for idx in range(theta_true.size):

@@ -1,6 +1,8 @@
 """Chi-square and z tests, confidence intervals, and their mutual
 consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,8 @@ class TestZTest:
         for _ in range(50):
             tau = float(rng.normal(scale=2.0))
             rep = z_test(tau, 0.0, 1.0)
-            for alpha, reject in rep.reject_at.items():
-                assert reject == (abs(tau) > norm.ppf(1 - alpha / 2))
+            for alpha in (0.01, 0.05, 0.10):
+                assert (rep.p_value < alpha) == (abs(tau) > norm.ppf(1 - alpha / 2))
 
     def test_nonpositive_variance_raises(self):
         with pytest.raises(NonPositiveVarianceError):
@@ -115,9 +117,9 @@ class TestConfidenceInterval:
             s = float(rng.uniform(1e-4, 0.05))
             alpha = float(rng.choice([0.01, 0.05, 0.1]))
             lo, hi = confidence_interval(theta, s, alpha)
-            rep = z_test(theta, theta0, s, alphas=(alpha,))
+            rep = z_test(theta, theta0, s)
             inside = lo <= theta0 <= hi
-            assert inside == (not rep.reject_at[alpha])
+            assert inside == (rep.p_value >= alpha)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -126,3 +128,16 @@ class TestConfidenceInterval:
     def test_nonpositive_variance_raises(self):
         with pytest.raises(NonPositiveVarianceError):
             confidence_interval(0.5, -1.0, 0.05)
+
+
+def test_report_carries_only_what_a_test_measures():
+    for rep in (z_test(0.6, 0.5, 0.0025), chi_square_test(np.ones(2), np.zeros(2), np.eye(2))):
+        assert [field.name for field in dataclasses.fields(rep)] == ["statistic", "df", "p_value"]
+
+
+def test_variance_refusals_print_a_plain_float():
+    # a numpy scalar's repr reads np.float64(...) under numpy 2
+    with pytest.raises(NonPositiveVarianceError, match=r"^variance -0\.01 must be positive$"):
+        z_test(0.5, 0.4, np.float64(-0.01))
+    with pytest.raises(NonPositiveVarianceError, match=r"^variance 0\.0 must be positive$"):
+        confidence_interval(0.5, np.float64(0.0), 0.05)

@@ -1,6 +1,11 @@
 """File formats and the command-line workflows, end to end through real
 files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,7 +179,7 @@ class TestReadFilteredChain:
         ],
     )
     def test_byte_table_takes_only_one_byte_tokens(self, text, k, blank, codes):
-        got = io._byte_codes(text, k, blank)
+        got = io._byte_codes(text.encode(io._encoding()), k, blank)
         assert got is None if codes is None else got.tolist() == codes
 
     def test_chain_reader_names_the_token(self, tmp_path):
@@ -724,7 +729,7 @@ class TestEmbedCommand:
         mask = io.read_support_csv(support, 4)
         assert mask.sum() == 2**3
 
-    def test_chain_too_short(self, tmp_path):
+    def test_chain_too_short(self, tmp_path, capsys):
         chain = write(tmp_path / "chain.txt", "1 2")
         code = main(
             [
@@ -740,7 +745,8 @@ class TestEmbedCommand:
                 str(tmp_path / "s.csv"),
             ]
         )
-        assert code != EXIT_OK
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: chain of length 2 too short for order 3 (need 4)\n"
 
     def test_embedded_standard_errors(self, tmp_path, capsys):
         # order 2 over two states: each tuple row allows two successors, p
@@ -806,3 +812,51 @@ class TestEmbedCommand:
         entries = io.read_kv_report(report)
         # off-support tuple transitions carry no estimated mass
         assert float(entries["estimate.theta.1.3"]) == 0.0
+
+
+# Every subcommand in one fresh interpreter: other tests import scipy into
+# this one, so only a new process can show that the CLI never does.
+SCIPY_FREE_SESSION = r'''
+import contextlib, sys
+from io import StringIO
+from pathlib import Path
+import numpy as np
+from markovfilter import FilterMatrix, TransitionMatrix, apply_filter, io
+from markovfilter.cli import main
+P = TransitionMatrix.from_probs([[0.2, 0.3, 0.5], [0.8, 0.1, 0.1], [0.7, 0.1, 0.2]])
+F = FilterMatrix([[0, 1, 0], [1, 1, 0], [1, 0, 0]])
+d = Path(sys.argv[1])
+io.write_matrix_csv(d / "p.csv", P.probs)
+io.write_matrix_csv(d / "f.csv", F.bits)
+assert main(["simulate", str(d / "p.csv"), "--initial", "1", "--n", "1000", "--seed", "0", "--out", str(d / "x.txt")]) == 0
+assert main(["filter", str(d / "x.txt"), str(d / "f.csv"), "--out", str(d / "y.txt")]) == 0
+assert main(["estimate", str(d / "y.txt"), str(d / "f.csv"), "--out", str(d / "r.kv")]) == 0
+assert main(["test", str(d / "r.kv"), str(d / "p.csv")]) == 0
+# one corrupted cell: exit 3, and the error names the report
+(d / "bad.kv").write_text((d / "r.kv").read_text().replace("estimate.theta.1.1 = ", "estimate.theta.1.1 = x"))
+with contextlib.redirect_stderr(StringIO()) as err:
+    assert main(["test", str(d / "bad.kv"), str(d / "p.csv")]) == 3
+assert err.getvalue().startswith(f"error: {d / 'bad.kv'}: estimate.theta.1.1 = x"), err.getvalue()
+io.write_matrix_csv(d / "s.csv", P.support)  # all ones: no structural zero
+assert main(["check-filter", str(d / "f.csv"), "--support", str(d / "s.csv")]) == 0
+assert main(["estimate", str(d / "y.txt"), str(d / "f.csv"), "--support", str(d / "s.csv")]) == 0
+assert main(["embed", str(d / "x.txt"), "--states", "3", "--order", "2", "--out", str(d / "e.txt"), "--support-out", str(d / "es.csv")]) == 0
+# 12 states: two-byte labels, a two-byte blank, and the writers' padding drop across three block edges
+shift = (np.arange(12) - np.arange(12)[:, None]) % 12
+F12 = FilterMatrix(np.random.default_rng(0).random((12, 12)) < 0.3)
+io.write_matrix_csv(d / "p12.csv", np.where(shift < 8, 0.125, 0.0))
+io.write_matrix_csv(d / "f12.csv", F12.bits)
+assert main(["simulate", str(d / "p12.csv"), "--initial", "1", "--n", "200000", "--seed", "0", "--out", str(d / "x12.txt")]) == 0
+assert main(["filter", str(d / "x12.txt"), str(d / "f12.csv"), "--blank-token", "NA", "--out", str(d / "y12.txt")]) == 0
+assert io.read_filtered_chain(d / "y12.txt", 12, "NA") == apply_filter(io.read_chain(d / "x12.txt", 12), F12)
+assert "scipy" not in sys.modules, "a subcommand imported scipy"
+'''
+
+
+def test_every_subcommand_runs_without_importing_scipy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_SESSION, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

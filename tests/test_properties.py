@@ -22,7 +22,6 @@ from markovfilter import (
     Verdict,
     SingularCovarianceError,
     apply_filter,
-    default_sem_start,
     e_step,
     em_jacobian,
     enumerate_completions,
@@ -42,6 +41,7 @@ from markovfilter import (
 )
 from markovfilter import io
 from markovfilter.filtering import ChainSegments, _coverage_failure
+from reference import default_sem_start
 from test_sem import fd_hessian, moved
 
 

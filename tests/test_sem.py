@@ -11,7 +11,6 @@ from markovfilter import (
     StateSpace,
     TransitionMatrix,
     apply_filter,
-    default_sem_start,
     e_step,
     free_coordinates,
     m_step,
@@ -23,6 +22,7 @@ from markovfilter import (
     symmetry_diagnostic,
 )
 from conftest import BENCH_FILTER, BENCH_PROBS, random_interior_probs
+from reference import default_sem_start
 
 F_DIAG = FilterMatrix(np.array([[1, 0], [0, 1]]))
 # recording only 2 -> 1 leaves two unrecorded exits from state 1, so hidden
