@@ -63,8 +63,7 @@ def _print_matrix(matrix, title: str) -> None:
 
 def cmd_simulate(args) -> int:
     P = io.read_probability_csv(args.probabilities)
-    seed = 0 if args.seed is None else args.seed
-    chain = simulate_chain(P, args.initial, args.n, seed)
+    chain = simulate_chain(P, args.initial, args.n, args.seed)
     io.write_chain(args.out, chain)
     counts = transition_counts(chain)
     print(f"wrote {len(chain)} states ({chain.n_transitions} transitions) to {args.out}")
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("probabilities", help="CSV transition matrix")
     p.add_argument("--initial", type=int, required=True, help="initial state (1-based)")
     p.add_argument("--n", type=int, required=True, help="number of transitions")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output chain file")
     p.set_defaults(func=cmd_simulate)
 

@@ -258,10 +258,9 @@ def theta_to_probs(theta: np.ndarray, k: int) -> np.ndarray:
     """Expand the free-parameter layout (row-major, last column omitted)
     into a full k x k matrix with p_ik = 1 - sum of the row's stored entries,
     an exact 0 where that is within ``ROW_SUM_TOL`` of 0 (the reading of
-    ``free_coordinates``), so a structural zero there stays zero."""
+    ``free_coordinates``), so a structural zero there stays zero. ``theta``
+    holds k^2 - k entries; ``_as_probs`` checks that for its callers."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (k * (k - 1),):
-        raise ValueError(f"expected {k * (k - 1)} parameters, got shape {theta.shape}")
     probs = np.empty((k, k), dtype=float)
     probs[:, : k - 1] = theta.reshape(k, k - 1)
     last = 1.0 - probs[:, : k - 1].sum(axis=1)
@@ -372,15 +371,21 @@ class CountMatrix:
 
 
 def _as_probs(theta, k: int) -> np.ndarray:
-    """k x k probabilities from a ParamVector, a TransitionMatrix, a k x k
-    array or a free-parameter vector."""
+    """k x k probabilities from a parameter: the one reader of parameters
+    and their one size check. A ParamVector is read as its ``theta`` and a
+    TransitionMatrix as its ``probs``; then a k x k array is taken as it is
+    and a free-parameter vector of k^2 - k entries is expanded by
+    ``theta_to_probs``. Any other shape raises ValueError naming k and the
+    shape. The values are not checked."""
     if isinstance(theta, ParamVector):
-        return theta.to_probs()
-    if isinstance(theta, TransitionMatrix):
-        return theta.probs
+        theta = theta.theta
+    elif isinstance(theta, TransitionMatrix):
+        theta = theta.probs
     theta = np.asarray(theta, dtype=float)
     if theta.shape == (k, k):
         return theta
+    if theta.shape != (k * (k - 1),):
+        raise ValueError(f"expected {k * (k - 1)} parameters or a {k} x {k} matrix, got shape {theta.shape}")
     return theta_to_probs(theta, k)
 
 

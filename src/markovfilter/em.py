@@ -87,8 +87,6 @@ class EMResult:
 
 def split_p(P, F: FilterMatrix) -> SplitMatrices:
     probs = _as_probs(P, F.k)
-    if probs.shape != F.bits.shape:
-        raise ValueError("matrix and filter dimensions disagree")
     p1 = np.where(F.bits, probs, 0.0)
     p0 = np.where(F.bits, 0.0, probs)
     return SplitMatrices(p0=p0, p1=p1)

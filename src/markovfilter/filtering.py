@@ -306,10 +306,7 @@ class IdentifiabilityVerdict:
     ``verdict`` is SUFFICIENT_IDENTIFIABLE exactly when a closure witness
     exists; when the support mask has a structural zero, the witness must
     also meet the per-row restriction R. ``satisfies_r`` is the row check
-    of ``satisfies_r`` whenever a support is given (an all-ones one
-    included), and True when none is given (the function ``satisfies_r``
-    reads a missing support as the all-ones mask, so it agrees except
-    where a row records nothing). UNKNOWN is not a proof of
+    of ``satisfies_r`` on the support. UNKNOWN is not a proof of
     non-identifiability; it only means the sufficient conditions fail.
     """
 
@@ -506,7 +503,7 @@ def identifiability_verdict(F: FilterMatrix, support=None) -> IdentifiabilityVer
         in_c2=_member(c2, F, pair_ones) is not None,
         in_c3=_member(c3, F, pair_ones) is not None,
         closure_witness=None if found is None else FilterMatrix(found[2]),
-        satisfies_r=support is None or satisfies_r(F, mask),
+        satisfies_r=satisfies_r(F, mask),
         verdict=Verdict.SUFFICIENT_IDENTIFIABLE if found is not None else Verdict.UNKNOWN,
     )
 

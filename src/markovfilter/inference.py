@@ -52,8 +52,13 @@ def chi_square_test(theta_hat, theta0, v_obs) -> TestReport:
     referred to chi-square with as many degrees of freedom as coordinates
     are passed. Pass the free coordinates (``core.free_coordinates``) to get
     the number of free parameters, which is below k^2 - k when P has
-    structural zeros."""
-    diff = _as_theta(theta_hat) - _as_theta(theta0)
+    structural zeros. ``theta_hat`` and ``theta0`` are read as vectors of
+    any size, but the two sizes must agree: a ValueError refuses a null of
+    another size rather than broadcasting it."""
+    theta_hat, theta0 = _as_theta(theta_hat), _as_theta(theta0)
+    if theta_hat.size != theta0.size:
+        raise ValueError(f"theta_hat has {theta_hat.size} coordinates but theta0 has {theta0.size}")
+    diff = theta_hat - theta0
     v = np.asarray(v_obs, dtype=float)
     if v.shape != (diff.size, diff.size):
         raise ValueError("covariance shape disagrees with the parameter vector")

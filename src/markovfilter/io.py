@@ -215,8 +215,8 @@ def read_filter_csv(path) -> FilterMatrix:
     return _read_matrix_as(path, FilterMatrix)
 
 
-def read_probability_csv(path, support=None) -> TransitionMatrix:
-    return _read_matrix_as(path, lambda values: TransitionMatrix.from_probs(values, support))
+def read_probability_csv(path) -> TransitionMatrix:
+    return _read_matrix_as(path, TransitionMatrix.from_probs)
 
 
 def read_support_csv(path, k: int) -> np.ndarray:

@@ -21,8 +21,10 @@ results are reported in the free-parameter layout (row-major, last column
 omitted), where a fixed entry has zero rows and columns and a reference
 entry inside the layout the covariances implied by its row. Meng & Rubin's
 (1991) forced iteration, which perturbs one coordinate at a time along the
-EM sequence and takes the limit of difference ratios, stays as ``sem_m1``
-for the paper-faithful cross-check.
+EM sequence and takes the limit of difference ratios, stays here as
+``sem_m1``, a module-level test reference that the package does not
+export: the cross-check tests and the benchmark's tracer read it as
+``markovfilter.sem.sem_m1``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_probs, _as_theta, _normalize_rows, free_coordinates, probs_to_theta, theta_to_probs
+from .core import _as_probs, _normalize_rows, free_coordinates, probs_to_theta, theta_to_probs
 from .em import EMResult, _e_pass
 from .errors import RowNotConvergedError, SingularCovarianceError, SingularUpdateError
 from .filtering import FilteredChain, FilterMatrix
@@ -115,15 +117,13 @@ def sem_m1(
     from the estimate), and can be far off: entries of 4 where M1 is 0 have
     been seen. So this is a reference only where a test restricts its fits.
 
-    Returns (m1, converged_rows); raises when rows are still open after
-    ``max_iter`` steps.
+    Both parameters are read by ``core._as_probs``. Returns (m1,
+    converged_rows); raises ``RowNotConvergedError`` when rows are still
+    open after ``max_iter`` steps.
     """
     k = y.space.k
-    theta_hat = _as_theta(theta_hat)
-    theta_t = _as_theta(theta_init).copy()
+    theta_hat, theta_t = (probs_to_theta(_as_probs(theta, k)) for theta in (theta_hat, theta_init))
     d = k * (k - 1)
-    if theta_hat.shape != (d,) or theta_t.shape != (d,):
-        raise ValueError(f"expected {d} parameters")
 
     def em_update(theta):
         counts = _e_pass(y.segments, theta_to_probs(theta, k), F.bits)[0]

@@ -10,7 +10,6 @@ from markovfilter import (
     CountMatrix,
     FilteredChain,
     FilterMatrix,
-    GapSegment,
     StateSpace,
     TransitionMatrix,
     ZeroDenominatorError,
@@ -24,12 +23,12 @@ from markovfilter import (
     oracle_expected_counts,
     oracle_observed_likelihood,
     run_em,
-    segment_chain,
     simulate_chain,
     split_p,
     transition_counts,
     unobserved_step_probs,
 )
+from markovfilter.em import GapSegment, segment_chain
 from markovfilter.filtering import ChainSegments
 from conftest import random_interior_probs, random_theta
 

@@ -45,6 +45,12 @@ class TestChiSquare:
         rep_p = chi_square_test(diff[perm], np.zeros(d), v[np.ix_(perm, perm)])
         assert rep.statistic == pytest.approx(rep_p.statistic, rel=1e-12)
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_a_null_of_another_size_is_refused(self, size):
+        # broadcast, a size-1 null would score 6.0 on six coordinates
+        with pytest.raises(ValueError, match=f"theta_hat has 6 coordinates but theta0 has {size}"):
+            chi_square_test(np.full(6, 0.2), np.full(size, 0.1), 0.01 * np.eye(6))
+
     def test_p_value_matches_reference_distribution(self):
         from scipy.stats import chi2
 

@@ -34,13 +34,13 @@ from markovfilter import (
     run_em,
     run_sem,
     satisfies_r,
-    sem_m1,
     simulate_chain,
     transition_counts,
     validate_consistency,
 )
 from markovfilter import io
 from markovfilter.filtering import ChainSegments, _coverage_failure
+from markovfilter.sem import sem_m1
 from reference import default_sem_start
 from test_sem import fd_hessian, moved
 
@@ -221,9 +221,9 @@ def outcome(fn, *args, **kwargs):
 
 
 def verdict_fields(v) -> tuple:
-    """The verdict's fields but ``satisfies_r``, the witness as bytes."""
+    """The verdict's fields, the witness as bytes."""
     witness = None if v.closure_witness is None else v.closure_witness.bits.tobytes()
-    return v.in_c1, v.in_c2, v.in_c3, witness, v.verdict
+    return v.in_c1, v.in_c2, v.in_c3, witness, v.satisfies_r, v.verdict
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -242,8 +242,7 @@ def test_no_support_is_the_all_ones_mask(case):
         assert (got.loglik_trace, got.iterations, got.converged) == (ref.loglik_trace, ref.iterations, ref.converged)
     plain, masked = (identifiability_verdict(F, s) for s in (None, ones))
     assert verdict_fields(plain) == verdict_fields(masked)
-    # documented: True without a support, the row check with one
-    assert plain.satisfies_r is True and masked.satisfies_r == satisfies_r(F, None)
+    assert plain.satisfies_r == satisfies_r(F, None)  # the row check, no special case
 
 
 #: Two-state filters that record one self-loop and hide the other three

@@ -17,10 +17,10 @@ from markovfilter import (
     observed_loglik,
     run_em,
     run_sem,
-    sem_m1,
     simulate_chain,
     symmetry_diagnostic,
 )
+from markovfilter.sem import sem_m1
 from conftest import BENCH_FILTER, BENCH_PROBS, random_interior_probs
 from reference import default_sem_start
 
