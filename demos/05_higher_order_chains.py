@@ -57,7 +57,7 @@ y = apply_filter(embedded, F)
 print(f"blanked {y.blank_count} of {len(y)} tuple states")
 
 result = run_em(y, F, support=mask)
-print(f"\nEM converged after {result.iterations} iterations")
+print(f"\nEM converged after {result.iterations} iterations ({result.e_steps} E-steps)")
 proj = project_embedded_params(
     TransitionMatrix.from_probs(result.probs, mask), s
 )

@@ -160,6 +160,7 @@ def _estimate_report(alpha: float, y, reduction, em_result, sem_result, interval
         "estimate.n": y.n_transitions,
         "estimate.reduction": reduction,
         "estimate.iterations": em_result.iterations,
+        "estimate.e_steps": em_result.e_steps,
         "estimate.converged": em_result.converged,
         "estimate.loglik": em_result.final_observed_loglik,
         "estimate.alpha": alpha,
@@ -175,6 +176,7 @@ def _estimate_report(alpha: float, y, reduction, em_result, sem_result, interval
         entries["estimate.symmetry"] = sem_result.asymmetry
         entries["estimate.spectral_radius"] = sem_result.spectral_radius
         entries["estimate.cond"] = sem_result.cond
+        entries["estimate.em_error"] = sem_result.em_error
     return entries
 
 
@@ -218,7 +220,10 @@ def cmd_estimate(args) -> int:
 
     reduction = reduction_fraction(y)
     intervals = None if sem_result is None else _intervals(em_result, sem_result, args.alpha)
-    print(f"EM converged: {em_result.converged} after {em_result.iterations} iterations")
+    print(
+        f"EM converged: {em_result.converged} after {em_result.iterations} iterations "
+        f"({em_result.e_steps} E-steps)"
+    )
     print(f"observed log-likelihood = {_fmt(em_result.final_observed_loglik)}")
     print(f"reduction fraction = {_fmt(reduction)}")
     _print_matrix(em_result.probs, "estimated transition matrix:")

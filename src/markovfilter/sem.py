@@ -48,7 +48,9 @@ class SemResult:
     symmetrization (a numerical-quality diagnostic). The matrices are in the
     free-parameter layout. ``spectral_radius`` is that of M1, the rate at
     which EM converged; ``cond`` is the condition number of I - M1 on the
-    free coordinates."""
+    free coordinates. ``em_error`` is |(I - M1^T)^(-1) (M(theta) - theta)|
+    (max norm) on the free coordinates at the estimate theta: to second
+    order, how far it lies from EM's fixed point."""
 
     m1: np.ndarray
     v_com: np.ndarray
@@ -57,6 +59,7 @@ class SemResult:
     asymmetry: float
     spectral_radius: float
     cond: float
+    em_error: float
 
 
 #: Complex step h: far below any rounding of the real part, while h times
@@ -199,7 +202,8 @@ def run_sem(y: FilteredChain, F: FilterMatrix, em_result: EMResult) -> SemResult
     """Full covariance pipeline at the EM estimate, on its free coordinates:
     the closed-form V_com from the final expected counts, the complex-step
     Jacobian, and the observed covariance with its diagnostics, each mapped
-    back to the free-parameter layout.
+    back to the free-parameter layout. ``em_error`` reads M(theta) as the
+    row-normalized final expected counts.
 
     Raises ``SingularUpdateError`` when I - M1 is numerically singular, and
     ``SingularCovarianceError`` when the estimate is not a local maximum of
@@ -231,6 +235,8 @@ def run_sem(y: FilteredChain, F: FilterMatrix, em_result: EMResult) -> SemResult
     def lifted(v):
         return lift @ v @ lift.T
 
+    em_step = probs_to_theta(_normalize_rows(em_result.expected_counts.counts) - probs)[free]
+
     return SemResult(
         m1=m1,
         v_com=lifted(vc),
@@ -239,4 +245,5 @@ def run_sem(y: FilteredChain, F: FilterMatrix, em_result: EMResult) -> SemResult
         asymmetry=symmetry_diagnostic(raw_v),
         spectral_radius=radius,
         cond=cond,
+        em_error=float(np.max(np.abs(inv.T @ em_step), initial=0.0)),
     )

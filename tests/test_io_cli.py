@@ -544,6 +544,21 @@ class TestEstimateCommand:
         assert radius == pytest.approx(np.max(np.abs(np.linalg.eigvals(m1))), rel=1e-9)
         assert float(entries["estimate.cond"]) == pytest.approx(np.linalg.cond(np.eye(6) - m1), rel=1e-9)
 
+    def test_report_and_stdout_carry_the_e_steps_and_em_error(self, tmp_path, bench_files, capsys):
+        p_file, f_file = bench_files
+        chain_file, y_file = tmp_path / "chain.txt", tmp_path / "y.txt"
+        main(["simulate", p_file, "--initial", "1", "--n", "500", "--seed", "3", "--out", str(chain_file)])
+        main(["filter", str(chain_file), f_file, "--out", str(y_file)])
+        capsys.readouterr()
+        report = tmp_path / "report.kv"
+        assert main(["estimate", str(y_file), f_file, "--out", str(report)]) == EXIT_OK
+        entries = io.read_kv_report(report)
+        iterations, e_steps = int(entries["estimate.iterations"]), int(entries["estimate.e_steps"])
+        assert iterations < e_steps
+        line = f"EM converged: True after {iterations} iterations ({e_steps} E-steps)"
+        assert capsys.readouterr().out.splitlines()[0] == line
+        assert 0.0 <= float(entries["estimate.em_error"]) < 1e-9
+
     def test_sem_failure_hints_at_skip_sem(self, tmp_path, capsys):
         # EM stops at a saddle point here (as in the test above), where the
         # covariance does not exist; the estimate is still reported without it
