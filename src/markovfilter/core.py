@@ -206,6 +206,22 @@ def support_mask(support, k: int) -> np.ndarray:
     return mask
 
 
+def _check_probs(probs: np.ndarray) -> None:
+    """Raise ValueError unless the k x k ``probs`` are finite, no entry is
+    below -``ROW_SUM_TOL`` and every row sums to 1 within ``ROW_SUM_TOL``.
+    Two reductions decide (a NaN fails the first, an inf the second); the
+    message is built only on failure."""
+    if probs.min() >= -ROW_SUM_TOL and np.abs(probs.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
+        return
+    if not np.isfinite(probs).all():
+        raise ValueError("non-finite transition probability")
+    if np.any(probs < -ROW_SUM_TOL):
+        raise ValueError("negative transition probability")
+    rowsums = probs.sum(axis=1)
+    bad = int(np.argmax(np.abs(rowsums - 1.0)))
+    raise ValueError(f"row {bad + 1} sums to {float(rowsums[bad])!r}, not 1")
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic transition probabilities with an explicit support mask.
@@ -227,14 +243,7 @@ class TransitionMatrix:
             raise ValueError("need at least two states")
         support = support_mask(self.support, probs.shape[0])
         object.__setattr__(self, "support", support)
-        if not np.isfinite(probs).all():
-            raise ValueError("non-finite transition probability")
-        if np.any(probs < -ROW_SUM_TOL):
-            raise ValueError("negative transition probability")
-        rowsums = probs.sum(axis=1)
-        if np.any(np.abs(rowsums - 1.0) > ROW_SUM_TOL):
-            bad = int(np.argmax(np.abs(rowsums - 1.0)))
-            raise ValueError(f"row {bad + 1} sums to {float(rowsums[bad])!r}, not 1")
+        _check_probs(probs)
         if np.any(probs[~support] != 0.0):
             raise ValueError("positive probability on a structural zero")
 
@@ -376,17 +385,20 @@ def _as_probs(theta, k: int) -> np.ndarray:
     TransitionMatrix as its ``probs``; then a k x k array is taken as it is
     and a free-parameter vector of k^2 - k entries is expanded by
     ``theta_to_probs``. Any other shape raises ValueError naming k and the
-    shape. The values are not checked."""
+    shape, and probabilities that ``TransitionMatrix`` would refuse (an
+    entry not finite or below -``ROW_SUM_TOL``, a row not summing to 1)
+    raise its ValueError."""
     if isinstance(theta, ParamVector):
         theta = theta.theta
     elif isinstance(theta, TransitionMatrix):
         theta = theta.probs
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape == (k, k):
-        return theta
-    if theta.shape != (k * (k - 1),):
-        raise ValueError(f"expected {k * (k - 1)} parameters or a {k} x {k} matrix, got shape {theta.shape}")
-    return theta_to_probs(theta, k)
+    probs = np.asarray(theta, dtype=float)
+    if probs.shape != (k, k):
+        if probs.shape != (k * (k - 1),):
+            raise ValueError(f"expected {k * (k - 1)} parameters or a {k} x {k} matrix, got shape {probs.shape}")
+        probs = theta_to_probs(probs, k)
+    _check_probs(probs)
+    return probs
 
 
 def _as_theta(theta) -> np.ndarray:
@@ -433,13 +445,13 @@ def transition_counts(x: CompleteChain) -> CountMatrix:
 
 
 def _normalize_rows(counts: np.ndarray) -> np.ndarray:
-    """Row-normalize counts; raises when a state gathered no mass, judged on
-    the real part so that complex counts normalize too."""
-    rowsums = counts.sum(axis=1)
-    empty = np.flatnonzero(rowsums.real <= 0.0)
-    if empty.size:
-        raise ZeroRowTotalError(int(empty[0]) + 1)
-    return counts / rowsums[:, None]
+    """Row-normalize counts, a k x k matrix or a (..., k, k) stack; raises
+    when a state gathered no mass (the first such row of the first such
+    slice), judged on the real part so that complex counts normalize too."""
+    rowsums = counts.sum(axis=-1)
+    if rowsums.real.min() <= 0.0:
+        raise ZeroRowTotalError(int(np.argwhere(rowsums.real <= 0.0)[0, -1]) + 1)
+    return counts / rowsums[..., None]
 
 
 def complete_mle(N: CountMatrix, support=None) -> TransitionMatrix:

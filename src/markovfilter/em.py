@@ -19,7 +19,10 @@ all gaps in one weighted (k x S) @ (S x k) matmul, where S, the sum of the
 types' lengths, counts the edges. An E-step makes O(log nu_max) numpy
 calls and O(S k^2) work. ``_e_pass``, the kernel's one caller, adds the
 observed pairs and the log-likelihood; EM, ``e_step``, ``observed_loglik``
-and M1 in ``sem`` all step through that pass, with no second EM map.
+and M1 in ``sem`` all step through that pass, with no second EM map. The
+kernel and the pass also take a (..., k, k) stack of parameter points,
+each slice giving exactly what it gives alone, so M1 takes all its
+complex steps in one stacked pass.
 
 Filtering hides information, so plain EM converges slowly (M1's spectral
 radius reaches 0.98 on sparse filters; Dempster, Laird & Rubin 1977).
@@ -29,6 +32,7 @@ EM steps only as their fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,14 +127,19 @@ def segment_chain(y: FilteredChain):
 
 def _e_pass(seg: ChainSegments, probs: np.ndarray, bits: np.ndarray) -> tuple:
     """The E-step pass: (expected counts, observed log-likelihood) at
-    ``probs`` under the filter ``bits``, in the dtype of ``probs``. Raises
-    ZeroDenominatorError when a gap has no unrecorded path; the
-    log-likelihood is -inf when an observed pair has probability zero."""
+    ``probs`` under the filter ``bits``, in the dtype of ``probs``, a k x k
+    matrix or a (..., k, k) stack of them, each slice giving exactly what
+    it gives alone. Raises ZeroDenominatorError when a gap has no
+    unrecorded path; the log-likelihood is -inf when an observed pair has
+    probability zero (for a stack, in any slice)."""
     gaps, masses = seg.gap_counts(np.where(bits, 0.0, probs))
-    counts, pair_probs = seg.pair_counts + gaps, probs.take(seg.pair_cells)
-    if np.any(pair_probs.real <= 0.0):
+    counts = seg.pair_counts + gaps
+    pair_probs = probs.reshape(probs.shape[:-2] + (-1,)).take(seg.pair_cells, axis=-1)
+    if pair_probs.real.min(initial=np.inf) <= 0.0:
         return counts, -np.inf
-    return counts, (seg.pair_n * np.log(pair_probs)).sum() + seg.mult @ np.log(masses)
+    # (1 x T) @ (T x 1) per slice is the dot product of a single pass; (..., T) @ (T,) rounds otherwise
+    gaps_loglik = (np.log(masses)[..., None, :] @ seg.mult[:, None])[..., 0, 0]
+    return counts, (seg.pair_n * np.log(pair_probs)).sum(axis=-1) + gaps_loglik
 
 
 def e_step(y: FilteredChain, theta, F: FilterMatrix) -> CountMatrix:
@@ -209,10 +218,11 @@ def run_em(
         S3 extrapolation, or None when the extrapolation leaves the simplex,
         its pass fails or p3's log-likelihood is below ``floor``."""
         r, v = p1 - p0, p2 - 2.0 * p1 + p0
-        norm_v = np.linalg.norm(v)
-        a = -max(1.0, np.linalg.norm(r) / norm_v) if norm_v > 0.0 else -1.0
+        rr, vv = r.ravel(), v.ravel()
+        norm_v = math.sqrt(vv.dot(vv))  # np.linalg.norm's number, without its wrapper
+        a = -max(1.0, math.sqrt(rr.dot(rr)) / norm_v) if norm_v > 0.0 else -1.0
         jump = p0 - 2.0 * a * r + a * a * v
-        if not np.all(jump >= 0.0):
+        if not jump.min() >= 0.0:
             return None
         try:
             p3 = _normalize_rows(e_pass(jump)[0])

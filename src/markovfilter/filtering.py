@@ -24,8 +24,8 @@ only the per-gap arrays are ``intp``.
 ``ChainSegments`` cuts a filtered chain into observed pairs and gap types
 once, and owns the gap kernel that reads them: the power table of a step
 matrix with each gap type's mass (a bool step for validation, the
-unrecorded part P0 of P for ``em``) and the expected counts inside all
-gaps.
+unrecorded part P0 of P for ``em``, a stack of complex-stepped ones for
+the Jacobian in ``sem``) and the expected counts inside all gaps.
 """
 
 from __future__ import annotations
@@ -133,16 +133,19 @@ class ChainSegments:
     The class also owns the gap kernel, the one E-step over all gaps that
     EM, the observed log-likelihood and the EM-map Jacobian share.
     ``gap_masses`` gives each gap type's mass, ``gap_counts`` the expected
-    counts inside all gaps. Flat indices into the power table, whose column
-    k holds the row sums (so b = k reads a trailing gap's continuation
-    mass), are built once: ``mass_cells``, each type's P0^nu[a, b]; and for
-    the S edges m = 0 .. nu - 1 of the types in turn, ``edge_type``,
-    ``left`` (S x k cells of row a of P0^m) and ``right`` (S x k cells of
-    column b of P0^(nu-1-m)). All arrays are read-only.
+    counts inside all gaps, at one step matrix or at a stack of them (the
+    Jacobian's complex steps); ``cells`` counts the cells of one slice's
+    power table and edge gathers. Flat indices into the power table, whose
+    column k holds the row sums (so b = k reads a trailing gap's
+    continuation mass), are built once: ``mass_cells``, each type's
+    P0^nu[a, b]; and for the S edges m = 0 .. nu - 1 of the types in turn,
+    ``edge_type``, ``left`` (S x k cells of row a of P0^m) and ``right``
+    (S x k cells of column b of P0^(nu-1-m)); so is the table's first
+    power, ``origin`` = [I | 1]. All arrays are read-only.
     """
 
     __slots__ = ("k", "pair_counts", "pair_cells", "pair_n", "a", "nu", "b", "mult", "first",
-                 "nu_max", "mass_cells", "edge_type", "left", "right")
+                 "nu_max", "mass_cells", "edge_type", "left", "right", "origin", "cells")
 
     def __init__(self, k, pair_counts, a, nu, b, mult, first):
         def frozen(values, dtype):  # the arrays passed in are new ones
@@ -166,41 +169,52 @@ class ChainSegments:
         m_rows = (self.nu[edge] - 1 - rest) * k + self.a[edge]
         self.left = frozen((m_rows * (k + 1))[:, None] + np.arange(k), np.intp)
         self.right = frozen((rest[:, None] * k + np.arange(k)) * (k + 1) + self.b[edge, None], np.intp)
+        origin = np.eye(k, k + 1)
+        origin[:, k] = 1
+        self.origin = frozen(origin, float)
+        # one slice's power table and edge gathers: two rows of k and a weight per edge
+        self.cells = (self.nu_max + 1) * k * (k + 1) + edge.size * (2 * k + 1)
 
     def gap_masses(self, step: np.ndarray):
-        """(the (nu_max + 1, k, k + 1) table of step^0 .. step^nu_max, row
-        sums in column k, each gap type's mass read from it: step^nu[a, b],
-        or the row sum of step^nu[a] for a trailing gap), in the dtype of
-        ``step``; a bool one gives reachability. By doubling: with step^0 ..
-        step^(f-1) known, step^(f-1) times step^1 .. step^n gives the next n
-        powers in one batched matmul."""
-        k, top = self.k, self.nu_max
-        table = np.empty((top + 1, k, k + 1), dtype=step.dtype)
-        table[0] = np.eye(k, k + 1)
-        table[0, :, k] = 1
-        table[1:2] = step @ table[0]  # nothing when nu_max = 0
+        """(the table of step^0 .. step^nu_max, each power k x (k + 1) with
+        its row sums in column k and the powers flattened, so that the flat
+        cells index it; each gap type's mass read from it: step^nu[a, b], or
+        the row sum of step^nu[a] for a trailing gap), in the dtype of
+        ``step``; a bool one gives reachability. ``step`` is a k x k matrix
+        or a (..., k, k) stack of them; a stack gives a table and masses
+        per slice, each what the slice gives alone. By doubling: with
+        step^0 .. step^(f-1) known, step^(f-1) times step^1 .. step^n gives
+        the next n powers in one batched matmul."""
+        k, top, lead = self.k, self.nu_max, step.shape[:-2]
+        table = np.empty(lead + (top + 1, k, k + 1), dtype=step.dtype)
+        table[..., 0, :, :] = self.origin
+        table[..., 1:2, :, :] = step[..., None, :, :] @ table[..., :1, :, :]  # nothing when nu_max = 0
         f = 2
         while f <= top:
             n = min(f - 1, top + 1 - f)
-            np.matmul(table[f - 1, :, :k], table[1 : n + 1], out=table[f : f + n])
+            np.matmul(table[..., f - 1 : f, :, :k], table[..., 1 : n + 1, :, :], out=table[..., f : f + n, :, :])
             f += n
-        return table, table.take(self.mass_cells)
+        table = table.reshape(lead + (-1,))
+        return table, table.take(self.mass_cells, axis=-1)
 
     def gap_counts(self, p0: np.ndarray):
         """(expected counts inside all gaps, gap masses) at the unrecorded part
-        ``p0``: each edge's row of P0^m and column of P0^(nu-1-m), weighted
-        by its type's multiplicity over mass, in one matmul. Raises
-        ZeroDenominatorError when a gap has no unrecorded path. Any dtype of
-        ``p0`` works (a complex one gives the complex-step Jacobian in
-        ``sem``); the check reads the real part of the masses."""
+        ``p0``, a k x k matrix or a (..., k, k) stack: each edge's row of
+        P0^m and column of P0^(nu-1-m), weighted by its type's multiplicity
+        over mass, in one matmul per slice. Raises ZeroDenominatorError when
+        a gap has no unrecorded path, naming the first such gap type of the
+        first such slice. Any dtype of ``p0`` works (a complex one gives the
+        complex-step Jacobian in ``sem``); the check reads the real part of
+        the masses."""
         table, masses = self.gap_masses(p0)
-        bad = np.flatnonzero(masses.real <= 0.0)
-        if bad.size:
-            a, nu, b = self.a[bad[0]], self.nu[bad[0]], self.b[bad[0]]
+        if masses.real.min(initial=np.inf) <= 0.0:
+            i = np.argwhere(masses.real <= 0.0)[0, -1]
+            a, nu, b = self.a[i], self.nu[i], self.b[i]
             what, end = ("continuation", "") if b == self.k else ("path", f" to state {b + 1}")
             raise ZeroDenominatorError(f"no unrecorded {what} of length {nu} from state {a + 1}{end}")
-        w = (self.mult / masses).take(self.edge_type)
-        return p0 * ((table.take(self.left).T * w) @ table.take(self.right)), masses
+        w = (self.mult / masses).take(self.edge_type, axis=-1)
+        left = table.take(self.left, axis=-1).swapaxes(-1, -2) * w[..., None, :]
+        return p0 * (left @ table.take(self.right, axis=-1)), masses
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, k: int) -> "ChainSegments":

@@ -16,14 +16,15 @@ with N_i the row total of the expected counts. M row-normalizes the counts
 of EM's own E-step pass, ``em._e_pass``; it is analytic in the parameters
 (matrix powers, ratios and a row normalization), so ``em_jacobian`` takes
 M1 by complex step (Squire & Trapp 1998) along e_ij - e_ir: exact to
-machine precision at the cost of one complex pass per free coordinate. The
-results are reported in the free-parameter layout (row-major, last column
-omitted), where a fixed entry has zero rows and columns and a reference
-entry inside the layout the covariances implied by its row. Meng & Rubin's
-(1991) forced iteration, which perturbs one coordinate at a time along the
-EM sequence and takes the limit of difference ratios, stays here as
-``sem_m1``, a module-level test reference that the package does not
-export: the cross-check tests and the benchmark's tracer read it as
+machine precision, with the steps of all free coordinates stacked into
+one complex pass, chunked to bound its memory. The results are reported
+in the free-parameter layout (row-major, last column omitted), where a
+fixed entry has zero rows and columns and a reference entry inside the
+layout the covariances implied by its row. Meng & Rubin's (1991) forced
+iteration, which perturbs one coordinate at a time along the EM sequence
+and takes the limit of difference ratios, stays here as ``sem_m1``, a
+module-level test reference that the package does not export: the
+cross-check tests and the benchmark's tracer read it as
 ``markovfilter.sem.sem_m1``.
 """
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_probs, _normalize_rows, free_coordinates, probs_to_theta, theta_to_probs
+from .core import _BLOCK, _as_probs, _normalize_rows, free_coordinates, probs_to_theta, theta_to_probs
 from .em import EMResult, _e_pass
 from .errors import RowNotConvergedError, SingularCovarianceError, SingularUpdateError
 from .filtering import FilteredChain, FilterMatrix
@@ -77,19 +78,27 @@ def em_jacobian(y: FilteredChain, F: FilterMatrix, theta_hat) -> np.ndarray:
     free-parameter layout.
 
     The row of a free coordinate p_ij is Im M(P + i h (e_ij - e_ir)) / h,
-    with h = ``STEP`` and r the row's reference column: one complex E-step
-    and M-step per free coordinate, with no subtractive cancellation, so M1
-    is exact to machine precision. A fixed coordinate gets a zero row, and
-    entries below ``M1_FLOOR`` are set to zero."""
-    k = y.space.k
-    probs = _as_probs(theta_hat, k)
-    free, lift = free_coordinates(probs)
+    with h = ``STEP`` and r the row's reference column, with no subtractive
+    cancellation, so M1 is exact to machine precision. All free
+    coordinates' steps go through one stacked complex E-step and M-step,
+    in chunks whose power tables and edge gathers hold at most
+    ``core._BLOCK`` cells (one coordinate per chunk when one needs more).
+    A fixed coordinate gets a zero row, and entries below ``M1_FLOOR`` are
+    set to zero."""
+    probs = _as_probs(theta_hat, y.space.k)
+    return _jacobian(y, F, probs, *free_coordinates(probs))
+
+
+def _jacobian(y: FilteredChain, F: FilterMatrix, probs: np.ndarray, free, lift) -> np.ndarray:
+    """``em_jacobian`` at ``probs`` with its ``free_coordinates`` given."""
+    k = probs.shape[0]
+    change = lift.T.reshape(-1, k, k - 1)
+    steps = np.concatenate([change, -change.sum(axis=2, keepdims=True)], axis=2)
+    chunk = max(1, _BLOCK // y.segments.cells)
     m1 = np.zeros((k * (k - 1), k * (k - 1)))
-    for t, change in zip(free, lift.T):
-        change = change.reshape(k, k - 1)
-        step = np.hstack([change, -change.sum(axis=1, keepdims=True)]) * (STEP * 1j)
-        counts = _e_pass(y.segments, probs + step, F.bits)[0]
-        m1[t] = probs_to_theta(_normalize_rows(counts).imag) / STEP
+    for lo in range(0, free.size, chunk):
+        counts = _e_pass(y.segments, probs + steps[lo : lo + chunk] * (STEP * 1j), F.bits)[0]
+        m1[free[lo : lo + chunk]] = _normalize_rows(counts).imag[..., :-1].reshape(-1, m1.shape[1]) / STEP
     m1[np.abs(m1) < M1_FLOOR] = 0.0
     return m1
 
@@ -216,7 +225,7 @@ def run_sem(y: FilteredChain, F: FilterMatrix, em_result: EMResult) -> SemResult
     p = probs_to_theta(probs)[free]
     totals = em_result.expected_counts.counts.sum(axis=1)[rows]
     vc = np.where(rows[:, None] == rows, np.diag(p) - np.outer(p, p), 0.0) / totals[:, None]
-    m1 = em_jacobian(y, F, probs)
+    m1 = _jacobian(y, F, probs, free, lift)
     m1_free = m1[np.ix_(free, free)]
     inv, cond = _inverse_update(m1_free)
     raw_v = vc @ inv

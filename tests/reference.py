@@ -3,8 +3,8 @@ against the library, kept out of the package."""
 
 import numpy as np
 
-from markovfilter import em
-from markovfilter.core import CountMatrix, _as_theta, _normalize_rows
+from markovfilter import em, sem
+from markovfilter.core import CountMatrix, _as_probs, _as_theta, _normalize_rows, free_coordinates, probs_to_theta
 
 
 def default_sem_start(theta_hat, v_com_mat: np.ndarray, k: int) -> np.ndarray:
@@ -41,3 +41,19 @@ def plain_em(y, F, tol: float, max_iter: int = 100_000) -> em.EMResult:
         trace.append(float(loglik))
     n = len(trace) - 1
     return em.EMResult(probs, n, n + 1, bool(converged), trace[-1], CountMatrix(counts), tuple(trace))
+
+
+def loop_jacobian(y, F, theta_hat) -> np.ndarray:
+    """``sem.em_jacobian`` one free coordinate at a time, its reference: one
+    complex E-step pass (read from the module) per coordinate."""
+    k = y.space.k
+    probs = _as_probs(theta_hat, k)
+    free, lift = free_coordinates(probs)
+    m1 = np.zeros((k * (k - 1), k * (k - 1)))
+    for t, change in zip(free, lift.T):
+        change = change.reshape(k, k - 1)
+        step = np.hstack([change, -change.sum(axis=1, keepdims=True)]) * (sem.STEP * 1j)
+        counts = em._e_pass(y.segments, probs + step, F.bits)[0]
+        m1[t] = probs_to_theta(_normalize_rows(counts).imag) / sem.STEP
+    m1[np.abs(m1) < sem.M1_FLOOR] = 0.0
+    return m1

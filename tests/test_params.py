@@ -1,6 +1,7 @@
 """The one reader of parameters: every entry point that takes a parameter
 refuses one built for another number of states, whatever its kind, with
-the same message."""
+the same message, and probabilities that ``TransitionMatrix`` refuses,
+with its message."""
 
 import numpy as np
 import pytest
@@ -62,3 +63,23 @@ def test_a_parameter_of_another_size_is_refused_with_one_message(entry, kind):
     with pytest.raises(ValueError) as info:
         ENTRY_POINTS[entry](bad, P3.theta())
     assert str(info.value) == f"expected 6 parameters or a 3 x 3 matrix, got shape {shape}"
+
+
+#: Probabilities ``TransitionMatrix`` refuses: rows summing to 16, an entry
+#: below zero in a row that sums to 1, and a NaN.
+WRONG_VALUE = {
+    "16/3": np.full((3, 3), 16 / 3),
+    "negative": BENCH_PROBS + [[-0.3, 0.3, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    "nan": np.where(np.eye(3, dtype=bool), np.nan, BENCH_PROBS),
+}
+
+
+@pytest.mark.parametrize("value", WRONG_VALUE)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_probabilities_a_transition_matrix_refuses_are_refused(entry, value):
+    bad = WRONG_VALUE[value]
+    with pytest.raises(ValueError) as expected:
+        TransitionMatrix.from_probs(bad)
+    with pytest.raises(ValueError) as info:
+        ENTRY_POINTS[entry](bad, P3.theta())
+    assert str(info.value) == str(expected.value)

@@ -1,6 +1,7 @@
 """Property-based checks of the E-step, the observed log-likelihood and the
 consistency check against the enumeration oracles, of the gap kernel
-against the backward recursion over gap lengths, of the EM fit and its
+against the backward recursion over gap lengths and of a stack of
+parameter points against its slices, of the EM fit and its
 Jacobian, on random parameters, filters, supports and chains, of a missing
 support against the all-ones mask, and of the chain reader and the
 segmentation against per-token and per-position loops."""
@@ -21,6 +22,7 @@ from markovfilter import (
     TransitionMatrix,
     Verdict,
     SingularCovarianceError,
+    ZeroDenominatorError,
     apply_filter,
     e_step,
     em_jacobian,
@@ -95,21 +97,27 @@ def backward_recursion(seg, p0):
 
 
 @st.composite
-def gap_kernel_cases(draw):
-    """(segments, p0): up to six interior gap types and a trailing one of
-    lengths 1 to 40 on k in 2..6 states, and a positive substochastic p0,
-    real or complex-stepped along a random direction as in ``em_jacobian``."""
-    k = draw(st.integers(2, 6))
-    state, length = st.integers(0, k - 1), st.integers(1, 40)
-    inner = draw(st.lists(st.tuples(state, length, state, st.integers(1, 5)), min_size=1, max_size=6))
-    a, nu, b, mult = map(list, zip(*inner, (draw(state), draw(length), k, 1)))
-    seg = ChainSegments(k, np.zeros((k, k)), a, nu, b, mult, range(len(a)))
+def unrecorded_parts(draw, k):
+    """A positive substochastic k x k p0, real or complex-stepped along a
+    random direction as in ``em_jacobian``."""
     weights = np.reshape(draw(st.lists(st.floats(0.05, 1.0), min_size=k * k, max_size=k * k)), (k, k))
     p0 = weights / weights.sum(axis=1, keepdims=True) * draw(st.floats(0.3, 1.0))
     if draw(st.booleans()):
         direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=k * k, max_size=k * k))
         p0 = p0 + 1e-30j * np.reshape(direction, (k, k))
-    return seg, p0
+    return p0
+
+
+@st.composite
+def gap_kernel_cases(draw):
+    """(segments, p0): up to six interior gap types and a trailing one of
+    lengths 1 to 40 on k in 2..6 states, and a p0 of ``unrecorded_parts``."""
+    k = draw(st.integers(2, 6))
+    state, length = st.integers(0, k - 1), st.integers(1, 40)
+    inner = draw(st.lists(st.tuples(state, length, state, st.integers(1, 5)), min_size=1, max_size=6))
+    a, nu, b, mult = map(list, zip(*inner, (draw(state), draw(length), k, 1)))
+    seg = ChainSegments(k, np.zeros((k, k)), a, nu, b, mult, range(len(a)))
+    return seg, draw(unrecorded_parts(k))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -123,6 +131,44 @@ def test_gap_kernel_matches_the_backward_recursion(case):
         np.testing.assert_allclose(got.real, ref.real, rtol=1e-13, atol=0)
         # the step's part: rounding of h = 1e-30 times the real part's scale
         np.testing.assert_allclose(got.imag, ref.imag, rtol=1e-13, atol=1e-43 * np.abs(ref.real).max())
+
+
+@st.composite
+def stacked_kernel_cases(draw):
+    """(segments, stack): a ``gap_kernel_cases`` p0 and up to four more of
+    ``unrecorded_parts``, stacked (complex if any slice is)."""
+    seg, p0 = draw(gap_kernel_cases())
+    return seg, np.stack([p0, *draw(st.lists(unrecorded_parts(seg.k), max_size=4))])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(stacked_kernel_cases())
+def test_stacked_gap_kernel_gives_each_slice_alone(case):
+    seg, stack = case
+    table, masses = seg.gap_masses(stack)
+    counts, counted_masses = seg.gap_counts(stack)
+    np.testing.assert_array_equal(counted_masses, masses)
+    for i, p0 in enumerate(stack):
+        slice_table, slice_masses = seg.gap_masses(p0)
+        np.testing.assert_array_equal(table[i], slice_table)
+        np.testing.assert_array_equal(masses[i], slice_masses)
+        np.testing.assert_array_equal(counts[i], seg.gap_counts(p0)[0])
+    # a stack of stacks reads the same slices
+    np.testing.assert_array_equal(seg.gap_counts(stack[:, None])[0][:, 0], counts)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(stacked_kernel_cases(), st.data())
+def test_a_zero_mass_in_one_slice_raises_its_message(case, data):
+    seg, stack = case
+    # no unrecorded step out of a gap's start state: that gap has mass zero
+    i = data.draw(st.integers(0, len(stack) - 1))
+    stack[i, seg.a[data.draw(st.integers(0, seg.a.size - 1))]] = 0.0
+    with pytest.raises(ZeroDenominatorError) as alone:
+        seg.gap_counts(stack[i])
+    with pytest.raises(ZeroDenominatorError) as stacked:
+        seg.gap_counts(stack)
+    assert str(stacked.value) == str(alone.value)
 
 
 @st.composite
