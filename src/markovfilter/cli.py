@@ -19,6 +19,7 @@ import numpy as np
 
 from . import io
 from .core import (
+    _check_probs,
     embed_higher_order,
     embedded_support,
     free_coordinates,
@@ -48,6 +49,10 @@ EXIT_PARSE = 3
 EXIT_CONSISTENCY = 4
 EXIT_NUMERICAL = 5
 EXIT_UNIDENTIFIABLE = 6
+
+#: A report keeps 12 significant digits, which moves an entry p by at most
+#: 5e-12 p, so the rows of a reported estimate sum to 1 within 5e-12.
+_REPORT_ROW_TOL = 5e-12
 
 
 def _fmt(value: float) -> str:
@@ -268,6 +273,10 @@ def cmd_test(args) -> int:
     if k < 2:
         raise FileFormatError(args.report, f"estimate.k = {k} is not a state count (at least 2)")
     probs_hat = _report_matrix(args.report, report, "theta", k)
+    try:
+        _check_probs(probs_hat, _REPORT_ROW_TOL)
+    except ValueError as err:
+        raise FileFormatError(args.report, f"estimate.theta is not a transition matrix: {err}") from None
     v = _report_matrix(args.report, report, "v_obs", k * (k - 1))
     P0 = io.read_probability_csv(args.null)
     if P0.k != k:

@@ -206,12 +206,12 @@ def support_mask(support, k: int) -> np.ndarray:
     return mask
 
 
-def _check_probs(probs: np.ndarray) -> None:
+def _check_probs(probs: np.ndarray, row_tol: float = ROW_SUM_TOL) -> None:
     """Raise ValueError unless the k x k ``probs`` are finite, no entry is
-    below -``ROW_SUM_TOL`` and every row sums to 1 within ``ROW_SUM_TOL``.
+    below -``ROW_SUM_TOL`` and every row sums to 1 within ``row_tol``.
     Two reductions decide (a NaN fails the first, an inf the second); the
     message is built only on failure."""
-    if probs.min() >= -ROW_SUM_TOL and np.abs(probs.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL:
+    if probs.min() >= -ROW_SUM_TOL and np.abs(probs.sum(axis=1) - 1.0).max() <= row_tol:
         return
     if not np.isfinite(probs).all():
         raise ValueError("non-finite transition probability")

@@ -68,7 +68,7 @@ class NonPositiveVarianceError(MarkovFilterError):
 
 
 class BudgetExceededError(MarkovFilterError):
-    """An enumeration oracle would exceed its configured budget."""
+    """An enumeration oracle would enumerate more than ``oracle.BUDGET`` chains."""
 
 
 class EmptyCompletionSetError(MarkovFilterError):

@@ -191,14 +191,12 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_matrix_csv(path, matrix) -> None:
+    """One CSV row per line: bool entries as 0/1, numbers with 12 significant
+    digits. The file is opened here, so that ``np.savetxt`` writes plain text
+    whatever the name's suffix (it would gzip a name ending in ``.gz``)."""
     matrix = np.asarray(matrix)
-    lines = []
-    for row in matrix:
-        if matrix.dtype == bool:
-            lines.append(",".join("1" if v else "0" for v in row))
-        else:
-            lines.append(",".join(f"{float(v):.12g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        np.savetxt(f, matrix, fmt="%d" if matrix.dtype == bool else "%.12g", delimiter=",")
 
 
 def _read_matrix_as(path, build):

@@ -6,14 +6,14 @@ desk scale. All of them enumerate through ``_fill``, which returns every
 candidate chain with its flat transition cells. A completion of a pattern is
 a candidate the filter maps to it, by the filter's own rule
 ``filtering._revealed``; the oracles share no code with the consistency
-check, so they are its ground truth. They refuse (raise) rather than degrade
-when an enumeration would exceed its budget; they are correctness
-instruments, not a performance path.
+check, so they are its ground truth. They refuse (raise
+``BudgetExceededError``) rather than degrade when an enumeration would hold
+more than ``BUDGET`` candidates, the one limit all four share; they are
+correctness instruments, not a performance path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,17 +22,8 @@ from .core import CompleteChain, CountMatrix, _as_probs
 from .errors import BudgetExceededError, EmptyCompletionSetError
 from .filtering import FilteredChain, FilterMatrix, _revealed
 
-DEFAULT_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class CompletionSet:
-    """All complete chains matching a pattern, with their probability weights."""
-
-    completions: tuple
-
-    def __len__(self) -> int:
-        return len(self.completions)
+#: The most candidate chains any oracle enumerates.
+BUDGET = 10**6
 
 
 def _fill(codes: np.ndarray, k: int):
@@ -47,14 +38,14 @@ def _fill(codes: np.ndarray, k: int):
     return rows, rows[:, :-1] * k + rows[:, 1:]
 
 
-def _completions(y: FilteredChain, F: FilterMatrix, P, budget: int):
+def _completions(y: FilteredChain, F: FilterMatrix, P):
     """(chains, cells, weights): the rows and cells from ``_fill`` of the
     completions of ``enumerate_completions``, in its order, and their path
     probabilities. Callers add the weights one at a time in that order."""
     k, codes = y.space.k, y.codes
     m = k ** int(np.count_nonzero(codes == 0))
-    if m > budget:
-        raise BudgetExceededError(f"{m} candidate completions exceed the budget {budget}")
+    if m > BUDGET:
+        raise BudgetExceededError(f"{m} candidate completions exceed the budget {BUDGET}")
     chains, cells = _fill(codes, k)
     weights = _as_probs(P, k).ravel().take(cells).prod(axis=1)
     # a candidate matches when the filter reveals exactly the observed positions
@@ -62,25 +53,23 @@ def _completions(y: FilteredChain, F: FilterMatrix, P, budget: int):
     return chains[keep], cells[keep], weights[keep]
 
 
-def enumerate_completions(
-    y: FilteredChain, F: FilterMatrix, P, budget: int = DEFAULT_BUDGET
-) -> CompletionSet:
-    """Every chain that matches the pattern, weighted by its path probability.
+def enumerate_completions(y: FilteredChain, F: FilterMatrix, P) -> tuple:
+    """Every chain that matches the pattern, weighted by its path probability:
+    a tuple of ``(CompleteChain, weight)`` pairs, the first blank most
+    significant in their order.
 
     A chain matches when the filter maps it to the pattern: it agrees with
     the observed states, and the filter reveals exactly the observed
     positions. Chains of probability zero are dropped.
     """
-    chains, _, weights = _completions(y, F, P, budget)
-    return CompletionSet(
-        tuple((CompleteChain._of(c, y.space), w) for c, w in zip(chains, weights.tolist()))
-    )
+    chains, _, weights = _completions(y, F, P)
+    return tuple((CompleteChain._of(c, y.space), w) for c, w in zip(chains, weights.tolist()))
 
 
 def oracle_expected_counts(y: FilteredChain, F: FilterMatrix, P) -> CountMatrix:
     """Weight-normalized average of the transition counts over all
     completions; the definitional counterpart of the analytic E-step."""
-    _, cells, weights = _completions(y, F, P, DEFAULT_BUDGET)
+    _, cells, weights = _completions(y, F, P)
     if not weights.size:
         raise EmptyCompletionSetError("the pattern admits no completion")
     k = y.space.k
@@ -91,7 +80,7 @@ def oracle_expected_counts(y: FilteredChain, F: FilterMatrix, P) -> CountMatrix:
 def oracle_observed_likelihood(y: FilteredChain, F: FilterMatrix, P) -> float:
     """Total probability mass of the pattern: the sum of completion weights
     (zero when none exists)."""
-    return float(sum(_completions(y, F, P, DEFAULT_BUDGET)[2].tolist()))
+    return float(sum(_completions(y, F, P)[2].tolist()))
 
 
 @lru_cache(maxsize=16)
@@ -117,21 +106,14 @@ def _pattern_ids(k: int, length: int, initial: int, bits_bytes: bytes):
     return ids
 
 
-def distinguishability_check(
-    F: FilterMatrix,
-    theta1,
-    theta2,
-    length: int,
-    initial: int,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
+def distinguishability_check(F: FilterMatrix, theta1, theta2, length: int, initial: int) -> float:
     """Total-variation distance between the filtered-pattern distributions
     induced by two parameter values, by full enumeration of all chains of
     ``length`` transitions from the known initial state. A positive value
     certifies that the filter separates the two parameters at this length."""
     k = F.k
-    if k**length > budget:
-        raise BudgetExceededError(f"{k**length} chains exceed the budget {budget}")
+    if k**length > BUDGET:
+        raise BudgetExceededError(f"{k**length} chains exceed the budget {BUDGET}")
     if not 1 <= initial <= k:
         raise ValueError(f"initial state {initial} outside 1..{k}")
     cells = _chain_table(k, length, initial)[1]

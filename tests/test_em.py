@@ -480,6 +480,15 @@ class TestRunEm:
         assert result.probs[0, 2] == 0.0
         assert result.expected_counts.counts[0, 2] == 0.0
 
+    def test_a_start_with_mass_on_a_structural_zero_is_refused(self):
+        support = np.array([[True, True, False], [True, True, True], [True, True, True]])
+        probs = np.array([[0.4, 0.6, 0.0], [0.3, 0.3, 0.4], [0.5, 0.2, 0.3]])
+        F = FilterMatrix(np.array([[0, 1, 0], [1, 1, 0], [1, 0, 0]]))
+        y = apply_filter(simulate_chain(TransitionMatrix.from_probs(probs, support), 1, 200, seed=6), F)
+        with pytest.raises(ValueError, match="^starting point puts mass on a structural zero$"):
+            run_em(y, F, theta0=np.full((3, 3), 1 / 3), support=support)
+        assert run_em(y, F, theta0=probs, support=support).probs[0, 2] == 0.0
+
     def test_support_row_without_a_transition_raises(self):
         y = FilteredChain((1, 2, 1, 1), StateSpace(2))
         with pytest.raises(ValueError, match="every row and column"):

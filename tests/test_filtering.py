@@ -397,6 +397,17 @@ class TestVerdict:
         assert not v.satisfies_r
         assert v.verdict is Verdict.UNKNOWN
 
+    def test_restriction_r_skips_a_pair_that_records_only_forbidden_transitions(self):
+        # rows 1 and 2 are full outside {1, 2}, but the support forbids 1->3,
+        # the only transition row 1 records: the pair {1, 2} is no witness
+        F = FilterMatrix(np.array([[0, 0, 1], [0, 0, 1], [1, 1, 1]]))
+        support = np.array([[1, 1, 0], [1, 1, 1], [1, 1, 1]], dtype=bool)
+        v = identifiability_verdict(F, support)
+        assert not v.satisfies_r
+        assert v.verdict is Verdict.UNKNOWN
+        assert v.closure_witness is None
+        assert identifiability_verdict(F).verdict is Verdict.SUFFICIENT_IDENTIFIABLE
+
     def test_c2_based_witness_survives_support(self):
         F = FilterMatrix(np.array([[0, 0, 1], [0, 0, 1], [0, 0, 1]]))
         support = np.ones((3, 3), dtype=bool)

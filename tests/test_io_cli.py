@@ -80,6 +80,30 @@ class TestIoRoundTrips:
         io.write_matrix_csv(path, BENCH_PROBS)
         np.testing.assert_allclose(io.read_matrix_csv(path), BENCH_PROBS, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "matrix,text",
+        [
+            (
+                np.random.default_rng(5).random((3, 3)),
+                "0.805002923745,0.807940789736,0.515325561042\n"
+                "0.285801380088,0.0539307023817,0.383368880786\n"
+                "0.40847320542,0.0452751939024,0.0487577107272\n",
+            ),
+            (np.array([[np.inf, -np.inf, -0.0], [1e-300, 0.1 + 0.2, 1.0]]), "inf,-inf,-0\n1e-300,0.3,1\n"),
+            (
+                np.eye(5, dtype=bool) | np.eye(5, k=2, dtype=bool),
+                "1,0,1,0,0\n0,1,0,1,0\n0,0,1,0,1\n0,0,0,1,0\n0,0,0,0,1\n",
+            ),
+            (np.array([[0.25, 1 / 3, 5.0]]), "0.25,0.333333333333,5\n"),
+        ],
+        ids=["random", "special", "bool", "one-row"],
+    )
+    @pytest.mark.parametrize("name", ["m.csv", "m.csv.gz"])
+    def test_matrix_writer_bytes(self, tmp_path, matrix, text, name):
+        path = tmp_path / name
+        io.write_matrix_csv(path, matrix)
+        assert path.read_bytes() == text.encode()
+
     def test_kv_report_round_trip(self, tmp_path):
         path = tmp_path / "report.kv"
         io.write_kv_report(path, {"a.b.1": 0.25, "a.flag": True, "a.n": 7})
@@ -571,6 +595,20 @@ class TestEstimateCommand:
         assert "--skip-sem" in capsys.readouterr().err
         assert main(["estimate", str(tmp_path / "y.txt"), str(tmp_path / "f.csv"), "--skip-sem"]) == EXIT_OK
 
+    def test_sem_failure_at_a_usable_estimate_says_the_estimate_is_fine(self, tmp_path, capsys):
+        # the all-zero filter records nothing after the first state, so EM
+        # keeps its start and I - M1 is singular
+        from markovfilter.cli import EXIT_NUMERICAL
+
+        y_file = write(tmp_path / "y.txt", "1" + " -" * 30 + "\n")
+        zeros = tmp_path / "zeros.csv"
+        io.write_matrix_csv(zeros, np.zeros((2, 2), dtype=bool))
+        assert main(["estimate", y_file, str(zeros)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ")
+        assert err[1].startswith("hint: the estimate itself is fine; rerun with --skip-sem")
+        assert main(["estimate", y_file, str(zeros), "--skip-sem"]) == EXIT_OK
+
     def test_support_of_the_wrong_size_names_the_shape(self, tmp_path, bench_files, capsys):
         _, f_file = bench_files
         y_file = write(tmp_path / "y.txt", "1 2 1 1 2 1\n")
@@ -668,6 +706,64 @@ class TestTestCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {null_file}: non-finite transition probability\n"
         assert captured.out == ""
+
+    def test_a_null_of_another_size_names_the_null(self, tmp_path, fitted_report, capsys):
+        null_file = tmp_path / "null.csv"
+        io.write_matrix_csv(null_file, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        capsys.readouterr()
+        assert main(["test", str(fitted_report), str(null_file)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {null_file}: expected a 3x3 matrix\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "edits,message",
+        [
+            ({"estimate.theta.1.1": "0.9", "estimate.theta.2.1": "-0.5"}, "negative transition probability"),
+            ({"estimate.theta.3.3": "nan"}, "non-finite transition probability"),
+            ({"estimate.theta.2.2": "inf"}, "non-finite transition probability"),
+            ({"estimate.theta.1.1": "0.9"}, "row 1 sums to "),
+        ],
+        ids=["negative", "nan", "inf", "row-sum"],
+    )
+    def test_an_estimate_that_is_not_a_transition_matrix_is_refused(
+        self, fitted_report, bench_files, capsys, edits, message
+    ):
+        p_file, _ = bench_files
+        assert main(["test", str(fitted_report), p_file]) == EXIT_OK
+        entries = io.read_kv_report(fitted_report)
+        entries.update(edits)
+        io.write_kv_report(fitted_report, entries)
+        capsys.readouterr()
+        assert main(["test", str(fitted_report), p_file]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        prefix = f"error: {fitted_report}: estimate.theta is not a transition matrix: {message}"
+        assert captured.err.startswith(prefix)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "entry,code,err",
+        [("0.400000000004", EXIT_OK, ""), ("0.400000000006", EXIT_PARSE, "row 2 sums to 1.000000000006, not 1")],
+    )
+    def test_rows_may_miss_1_by_what_12_digits_allow(self, tmp_path, capsys, entry, code, err):
+        # a 12-digit entry p is off by at most 5e-12 p, so a row of the
+        # estimate reads 1 within 5e-12
+        entries = {
+            "estimate.k": 2,
+            "estimate.theta.1.1": 0.6,
+            "estimate.theta.1.2": 0.4,
+            "estimate.theta.2.1": 0.6,
+            "estimate.theta.2.2": entry,
+        }
+        for a, b, value in ((1, 1, 0.01), (1, 2, 0.0), (2, 1, 0.0), (2, 2, 0.01)):
+            entries[f"estimate.v_obs.{a}.{b}"] = value
+        report = tmp_path / "report.kv"
+        io.write_kv_report(report, entries)
+        null_file = tmp_path / "null.csv"
+        io.write_matrix_csv(null_file, np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert main(["test", str(report), str(null_file)]) == code
+        want = f"error: {report}: estimate.theta is not a transition matrix: {err}\n" if err else ""
+        assert capsys.readouterr().err == want
 
     def test_missing_key_exits_parse(self, tmp_path, bench_files):
         p_file, _ = bench_files

@@ -21,6 +21,7 @@ from markovfilter import (
     oracle_observed_likelihood,
     transition_counts,
 )
+from markovfilter import oracle
 from conftest import random_interior_probs, random_theta
 
 F_DIAG = FilterMatrix(np.array([[1, 0], [0, 1]]))
@@ -36,7 +37,7 @@ class TestEnumerate:
         y = FilteredChain((1, None, 1, 1), StateSpace(2))
         cs = enumerate_completions(y, F_DIAG, p_two_state)
         assert len(cs) == 1
-        chain, weight = cs.completions[0]
+        chain, weight = cs[0]
         assert chain.states == (1, 2, 1, 1)
         assert weight == pytest.approx(0.3 * 0.4 * 0.7)
         # (1, 2, 1) filters to 1 - -: no chain reveals the last 1 of 1 - 1
@@ -47,7 +48,7 @@ class TestEnumerate:
         y = FilteredChain((1, 1, 2), StateSpace(2))
         cs = enumerate_completions(y, FilterMatrix.all_ones(2), p_two_state)
         assert len(cs) == 1
-        assert cs.completions[0][0].states == (1, 1, 2)
+        assert cs[0][0].states == (1, 1, 2)
 
     def test_inconsistent_pattern_is_empty(self, p_two_state):
         y = FilteredChain((1, 2), StateSpace(2))
@@ -56,8 +57,8 @@ class TestEnumerate:
     def test_budget_is_enforced(self, p_two_state):
         symbols = (1,) + (None,) * 25
         y = FilteredChain(symbols, StateSpace(2))
-        with pytest.raises(BudgetExceededError):
-            enumerate_completions(y, F_DIAG, p_two_state, budget=1000)
+        with pytest.raises(BudgetExceededError, match="^33554432 candidate completions exceed the budget 1000000$"):
+            enumerate_completions(y, F_DIAG, p_two_state)
 
     def test_every_completion_matches_observed_positions(self):
         rng = np.random.default_rng(8)
@@ -69,7 +70,7 @@ class TestEnumerate:
             y = apply_filter(CompleteChain(states, StateSpace(k)), F)
             cs = enumerate_completions(y, F, P)
             assert len(cs) >= 1  # the generating chain itself matches
-            for chain, weight in cs.completions:
+            for chain, weight in cs:
                 assert weight > 0
                 for pos, sym in enumerate(y.symbols):
                     if sym is not None:
@@ -106,7 +107,7 @@ def loop_completions(y, F, probs, budget):
 
 
 class TestAgainstTheLoop:
-    def test_same_completions_order_weights_and_budget(self):
+    def test_same_completions_order_weights_and_budget(self, monkeypatch):
         rng = np.random.default_rng(41)
         consistent = inconsistent = over_budget = 0
         for case in range(320):
@@ -125,14 +126,15 @@ class TestAgainstTheLoop:
                 codes[0] = rng.integers(1, k + 1)
                 y = FilteredChain.from_codes(codes, StateSpace(k))
             budget = int(rng.choice([4, 30, 10**4]))
+            monkeypatch.setattr(oracle, "BUDGET", budget)
             try:
                 want = loop_completions(y, F, probs, budget)
             except BudgetExceededError:
                 over_budget += 1
                 with pytest.raises(BudgetExceededError):
-                    enumerate_completions(y, F, probs, budget)
+                    enumerate_completions(y, F, probs)
                 continue
-            got = enumerate_completions(y, F, probs, budget).completions
+            got = enumerate_completions(y, F, probs)
             assert [c.states for c, _ in got] == [c for c, _ in want]
             np.testing.assert_allclose([w for _, w in got], [w for _, w in want], rtol=1e-15, atol=0)
             if want:
@@ -219,8 +221,8 @@ class TestSeparation:
 
     def test_budget_is_enforced(self, bench_filter):
         theta = random_theta(np.random.default_rng(0), 3)
-        with pytest.raises(BudgetExceededError):
-            distinguishability_check(bench_filter, theta, theta, 20, 1, budget=10**4)
+        with pytest.raises(BudgetExceededError, match="^3486784401 chains exceed the budget 1000000$"):
+            distinguishability_check(bench_filter, theta, theta, 20, 1)
 
     def test_distance_is_a_probability_metric(self, bench_filter):
         rng = np.random.default_rng(23)
